@@ -4,7 +4,7 @@
 //! spec says two operations commute, executing them in either order from
 //! any reachable state yields identical states and responses.
 
-use adts::{MapAdt, MultimapAdt, QueueAdt, SetAdt};
+use adts::{MapAdt, MultimapAdt, QueueAdt, SetAdt, WeakMapAdt};
 use proptest::prelude::*;
 use semlock::symbolic::Operation;
 use semlock::value::Value;
@@ -18,53 +18,146 @@ enum MapOp {
     Contains(u64),
     Size,
     Clear,
+    Entries,
 }
 
-fn arb_map_op() -> impl Strategy<Value = MapOp> {
+/// Random Map operations on keys `0..keys`.
+fn arb_map_op(keys: u64) -> impl Strategy<Value = MapOp> {
     prop_oneof![
-        (0u64..8).prop_map(MapOp::Get),
-        (0u64..8, 0u64..100).prop_map(|(k, v)| MapOp::Put(k, v)),
-        (0u64..8).prop_map(MapOp::Remove),
-        (0u64..8).prop_map(MapOp::Contains),
+        (0..keys).prop_map(MapOp::Get),
+        (0..keys, 0u64..100).prop_map(|(k, v)| MapOp::Put(k, v)),
+        (0..keys).prop_map(MapOp::Remove),
+        (0..keys).prop_map(MapOp::Contains),
         Just(MapOp::Size),
         Just(MapOp::Clear),
+        Just(MapOp::Entries),
     ]
+}
+
+/// What a trace drives, so one checker serves `MapAdt` and the
+/// `WeakMapAdt` wrapped around it.
+trait TracedMap: Default {
+    fn get(&self, k: Value) -> Value;
+    fn put(&self, k: Value, v: Value) -> Value;
+    fn remove(&self, k: Value) -> Value;
+    fn contains_key(&self, k: Value) -> bool;
+    fn size(&self) -> usize;
+    fn clear(&self);
+    /// `None` where the ADT has no snapshot operation.
+    fn entries(&self) -> Option<Vec<(Value, Value)>>;
+}
+
+macro_rules! traced_map {
+    ($adt:ty, $entries:expr) => {
+        impl TracedMap for $adt {
+            fn get(&self, k: Value) -> Value {
+                <$adt>::get(self, k)
+            }
+            fn put(&self, k: Value, v: Value) -> Value {
+                <$adt>::put(self, k, v)
+            }
+            fn remove(&self, k: Value) -> Value {
+                <$adt>::remove(self, k)
+            }
+            fn contains_key(&self, k: Value) -> bool {
+                <$adt>::contains_key(self, k)
+            }
+            fn size(&self) -> usize {
+                <$adt>::size(self)
+            }
+            fn clear(&self) {
+                <$adt>::clear(self)
+            }
+            fn entries(&self) -> Option<Vec<(Value, Value)>> {
+                $entries(self)
+            }
+        }
+    };
+}
+traced_map!(MapAdt, |m: &MapAdt| Some(m.entries()));
+traced_map!(WeakMapAdt, |_| None);
+
+/// Put keys `0..preload`, then run `ops`, checking every response against
+/// a `HashMap`.
+fn check_map_trace<M: TracedMap>(preload: u64, ops: Vec<MapOp>) -> Result<(), TestCaseError> {
+    let map = M::default();
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let puts = (0..preload).map(|k| MapOp::Put(k, k + 1));
+    for op in puts.chain(ops) {
+        match op {
+            MapOp::Get(k) => {
+                let got = map.get(Value(k));
+                let want = model.get(&k).copied().map(Value).unwrap_or(Value::NULL);
+                prop_assert_eq!(got, want);
+            }
+            MapOp::Put(k, v) => {
+                let got = map.put(Value(k), Value(v));
+                let want = model.insert(k, v).map(Value).unwrap_or(Value::NULL);
+                prop_assert_eq!(got, want);
+            }
+            MapOp::Remove(k) => {
+                let got = map.remove(Value(k));
+                let want = model.remove(&k).map(Value).unwrap_or(Value::NULL);
+                prop_assert_eq!(got, want);
+            }
+            MapOp::Contains(k) => {
+                prop_assert_eq!(map.contains_key(Value(k)), model.contains_key(&k));
+            }
+            MapOp::Size => prop_assert_eq!(map.size(), model.len()),
+            MapOp::Clear => {
+                map.clear();
+                model.clear();
+            }
+            MapOp::Entries => {
+                if let Some(mut got) = map.entries() {
+                    got.sort();
+                    let mut want: Vec<_> =
+                        model.iter().map(|(&k, &v)| (Value(k), Value(v))).collect();
+                    want.sort();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `MapAdt` turns from one table into stripes on the insert that takes it
+/// past this many entries (`PROMOTE_ABOVE` in `adts/src/map.rs`).
+const MAP_PROMOTES_ABOVE: u64 = 512;
+
+/// Preloads from just under the promotion size (the trace may or may not
+/// cross it, somewhere in its middle) to just over it (the trace runs on
+/// stripes from its first operation).
+fn arb_preload_near_promotion() -> impl Strategy<Value = u64> {
+    MAP_PROMOTES_ABOVE - 4..MAP_PROMOTES_ABOVE + 2
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// Eight keys: the map never leaves its small table.
     #[test]
-    fn map_matches_model(ops in proptest::collection::vec(arb_map_op(), 1..60)) {
-        let map = MapAdt::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        for op in ops {
-            match op {
-                MapOp::Get(k) => {
-                    let got = map.get(Value(k));
-                    let want = model.get(&k).copied().map(Value).unwrap_or(Value::NULL);
-                    prop_assert_eq!(got, want);
-                }
-                MapOp::Put(k, v) => {
-                    let got = map.put(Value(k), Value(v));
-                    let want = model.insert(k, v).map(Value).unwrap_or(Value::NULL);
-                    prop_assert_eq!(got, want);
-                }
-                MapOp::Remove(k) => {
-                    let got = map.remove(Value(k));
-                    let want = model.remove(&k).map(Value).unwrap_or(Value::NULL);
-                    prop_assert_eq!(got, want);
-                }
-                MapOp::Contains(k) => {
-                    prop_assert_eq!(map.contains_key(Value(k)), model.contains_key(&k));
-                }
-                MapOp::Size => prop_assert_eq!(map.size(), model.len()),
-                MapOp::Clear => {
-                    map.clear();
-                    model.clear();
-                }
-            }
-        }
+    fn map_matches_model(ops in proptest::collection::vec(arb_map_op(8), 1..60)) {
+        check_map_trace::<MapAdt>(0, ops)?;
+    }
+
+    /// Half the keys are new, so the trace's puts take the map past the
+    /// promotion size: operations are checked before, across and after it.
+    #[test]
+    fn map_matches_model_across_promotion(
+        preload in arb_preload_near_promotion(),
+        ops in proptest::collection::vec(arb_map_op(2 * MAP_PROMOTES_ABOVE), 1..80),
+    ) {
+        check_map_trace::<MapAdt>(preload, ops)?;
+    }
+
+    #[test]
+    fn weakmap_matches_model_across_promotion(
+        preload in arb_preload_near_promotion(),
+        ops in proptest::collection::vec(arb_map_op(2 * MAP_PROMOTES_ABOVE), 1..80),
+    ) {
+        check_map_trace::<WeakMapAdt>(preload, ops)?;
     }
 
     #[test]

@@ -814,6 +814,13 @@ impl Admission for Mech {
 /// so [`crate::manager::SemLock`] stores this enum rather than
 /// `Box<dyn Admission>` — the match compiles to a three-way branch the
 /// predictor resolves once per lock site.
+///
+/// Aligned to [`PARTITION_ALIGN`]: a `SemLock` keeps its partitions'
+/// backends side by side in one slice, and every acquire/release RMWs the
+/// partition's admission word and statistics. Commuting modes land in
+/// different partitions, so without the alignment two threads that never
+/// conflict would still bounce a shared line.
+#[repr(align(128))]
 pub(crate) enum AnyBackend {
     /// One of the three word/counter layouts ([`MechLayout`]).
     Word(Mech),
@@ -822,6 +829,17 @@ pub(crate) enum AnyBackend {
     /// Optimistic try-then-block hybrid.
     Hybrid(OptimisticHybridBackend),
 }
+
+/// Bytes no two partitions' backends may share: two 64-byte lines, because
+/// the adjacent-line prefetcher fetches them in pairs.
+const PARTITION_ALIGN: usize = 128;
+
+// Layout guard: dropping or weakening the `repr(align)` above would put
+// neighbouring partitions back on one line without failing any test.
+const _: () = {
+    assert!(std::mem::align_of::<AnyBackend>() >= PARTITION_ALIGN);
+    assert!(std::mem::size_of::<AnyBackend>().is_multiple_of(PARTITION_ALIGN));
+};
 
 macro_rules! delegate {
     ($self:ident, $b:ident => $body:expr) => {

@@ -579,7 +579,7 @@ impl SemLock {
     /// watchdog's waits-for graph. The watchdog is registered only after
     /// the wait has lasted one probe slice, so the uncontended path touches
     /// nothing beyond the poison flag. A waits-for cycle sighted on two
-    /// consecutive probes aborts the **youngest** member (largest `txn`)
+    /// consecutive probes aborts the member with the largest `txn`
     /// with [`LockError::WouldDeadlock`].
     pub fn lock_deadline(
         &self,

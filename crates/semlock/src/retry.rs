@@ -22,8 +22,8 @@
 //!   registered with the deadlock watchdog. A true `WaitBudget::Forever`
 //!   wait never registers (see [`crate::acquire`]), so escalation opts
 //!   into the watchdog by using a far deadline instead — the victim of
-//!   repeated youngest-waiter aborts keeps its small (old) txn id, which
-//!   the watchdog's youngest-aborts rule then spares, and a hang still
+//!   repeated watchdog aborts keeps its small (old) txn id, which the
+//!   watchdog's largest-id-aborts rule then spares, and a hang still
 //!   times out at `patience` rather than wedging the process.
 //! * [`AdmissionThrottle`] — a token-based concurrency cap with
 //!   shed-on-saturation and a latched `Degraded` signal (cleared with
@@ -261,9 +261,9 @@ impl RetryPolicy {
     /// opt-in": a true `Forever` wait never registers with the watchdog
     /// (see [`crate::acquire`]), so escalation substitutes a deadline far
     /// beyond any backoff while keeping cycle detection live. The
-    /// escalated transaction's old (small) id means the youngest-aborts
-    /// rule breaks any cycle it joins in some *other* transaction's favor
-    /// only if that peer is younger — i.e. the starving elder finally wins.
+    /// escalated transaction's old (small) id means the largest-id-aborts
+    /// rule breaks any cycle it joins at some *other* member once its
+    /// peers carry later ids — i.e. the starving elder finally wins.
     pub fn escalated_spec(&self, mode: ModeId) -> AcquireSpec {
         AcquireSpec::new(mode).timeout(self.patience)
     }

@@ -13,22 +13,47 @@ use crate::manager::SemLock;
 use crate::mode::ModeId;
 use crate::telemetry;
 use crate::watchdog::TxnId;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Process-wide transaction id counter. Ids only need to be unique and
-/// monotone (the deadlock watchdog aborts the *youngest* cycle member, i.e.
-/// the largest id, so the oldest waiter always survives and the system makes
-/// progress).
+/// Process-wide source of transaction-id blocks. Threads take
+/// [`TXN_ID_BLOCK`] ids at a time (see [`next_txn_id`]), so ids are unique
+/// process-wide and increasing *per thread*, but not ordered by age across
+/// threads. Deadlock recovery needs no more than that: the ids form a
+/// unique total order, the watchdog aborts the maximum-id member of a
+/// cycle, so the minimum-id member of any cycle always survives and the
+/// system makes progress.
 static NEXT_TXN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Allocate a fresh transaction id from the process-wide counter.
+/// Ids a thread takes from [`NEXT_TXN_ID`] per refill: one RMW on the
+/// process-global line per this many transactions instead of one each.
+const TXN_ID_BLOCK: u64 = 1024;
+
+thread_local! {
+    /// This thread's block: the next id to hand out and the block's end
+    /// (equal when the block is spent, as it is before the first refill).
+    static TXN_ID_RANGE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Allocate a fresh transaction id: unique process-wide, increasing on the
+/// calling thread.
 ///
-/// [`Txn::new`] draws from the same counter; external executors that manage
-/// their own transaction state (e.g. the IR interpreter) must use this too,
-/// so ids registered with the [`crate::watchdog`] never collide.
+/// [`Txn::new`] draws from the same allocator; external executors that
+/// manage their own transaction state (e.g. the IR interpreter) must use
+/// this too, so ids registered with the [`crate::watchdog`] never collide.
 pub fn next_txn_id() -> TxnId {
-    NEXT_TXN_ID.fetch_add(1, Ordering::Relaxed)
+    TXN_ID_RANGE.with(|range| {
+        let (mut next, mut end) = range.get();
+        if next == end {
+            // Ordering: Relaxed — the counter publishes nothing; the RMW's
+            // atomicity alone makes the blocks disjoint.
+            next = NEXT_TXN_ID.fetch_add(TXN_ID_BLOCK, Ordering::Relaxed);
+            end = next + TXN_ID_BLOCK;
+        }
+        range.set((next + 1, end));
+        next
+    })
 }
 
 /// The runtime context of one transaction (execution of an atomic section).
@@ -42,7 +67,7 @@ pub struct Txn<'a> {
     /// a handful of ADTs, so a linear-scan vector beats any hash structure
     /// here.
     held: Vec<(&'a SemLock, ModeId, u32)>,
-    /// Unique monotone transaction id (used by the deadlock watchdog).
+    /// Unique transaction id (used by the deadlock watchdog).
     id: TxnId,
 }
 
@@ -516,10 +541,28 @@ mod tests {
     }
 
     #[test]
-    fn txn_ids_are_unique_and_monotone() {
-        let a = Txn::new();
-        let b = Txn::new();
-        assert!(b.id() > a.id());
+    fn txn_ids_are_unique_and_increase_per_thread() {
+        // Several refills per thread, all threads allocating at once.
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 3 * TXN_ID_BLOCK as usize + 7;
+        let start = std::sync::Barrier::new(THREADS);
+        let per_thread: Vec<Vec<TxnId>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..PER_THREAD).map(|_| Txn::new().id()).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for ids in &per_thread {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "not increasing");
+        }
+        let distinct: std::collections::HashSet<TxnId> =
+            per_thread.iter().flatten().copied().collect();
+        assert_eq!(distinct.len(), THREADS * PER_THREAD);
     }
 
     #[test]

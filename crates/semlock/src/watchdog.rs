@@ -13,8 +13,12 @@
 //! holds a mode on the instance `A` is waiting for that does not commute
 //! with `A`'s requested mode. Every member of a genuine cycle is blocked,
 //! so every member eventually registers and the cycle becomes visible; the
-//! **youngest** waiter (largest transaction id) converts it into a
+//! member with the **largest transaction id** converts it into a
 //! [`crate::error::LockError::WouldDeadlock`] instead of hanging.
+//! Transaction ids are a unique total order (allocated in per-thread
+//! blocks, so increasing per thread but not ordered by age across
+//! threads), which is all recovery needs: every cycle has exactly one
+//! maximum-id member to abort, and its minimum-id member always survives.
 //!
 //! To rule out false positives from the tiny window between a waiter
 //! acquiring its mode and deregistering, a cycle must be sighted on two
