@@ -8,15 +8,16 @@
 //! `Arc<ModeTable>` — and then drives the tape with a tight `pc`-indexed
 //! dispatch loop over a dense `Vec<Value>` register frame.
 //!
-//! Per warm run, the loop performs exactly one allocation — the register
-//! vector that escapes as the [`CompiledFrame`]; the handle cache, the
-//! group-lock scratch, and the `RunState` buffers are recycled through a
-//! per-thread `Scratch` pool. Per *op* it allocates nothing: no
-//! `HashMap` frame lookups, no `String` clones, no recursive `Expr`
-//! matching, no string-keyed `ClassTables` lookups on lock sites, and —
-//! thanks to the per-slot handle cache — the `Registry::get`
-//! `RwLock<HashMap>` + `Arc` clone is paid once per distinct pointer
-//! value per slot rather than once per ADT call.
+//! A warm run allocates nothing: the register file, the group-lock
+//! scratch and the `RunState` buffers are recycled through a per-thread
+//! `Scratch` pool, and the [`Frame`] it returns holds its values inline
+//! and borrows its names from the [`CompiledSection`]. Nor does it write
+//! a cache line another worker reads, beyond the lock words and ADTs of
+//! the instances it uses: every op borrows its receiver from the
+//! insert-only [`crate::env::Registry`] (two loads, no reference count),
+//! and a lock site evaluates `ModeTable::select` directly — a multiply, a
+//! shift and a table load, cheaper than any cache in front of it
+//! (EXPERIMENTS.md, "The compiled request path").
 //!
 //! The engine is behaviorally identical to the tree-walker: it shares the
 //! `RunState`, the acquisition/release helpers, the fault-injection
@@ -26,10 +27,11 @@
 //! two engines to bitwise-identical observable behavior under randomized
 //! programs, schedules, and fault plans.
 
-use crate::env::{Env, SharedAdt};
-use crate::exec::{Engine, Frame, Interp, RunState, Strategy, FUEL};
+use crate::env::Env;
+use crate::exec::{Engine, Interp, RunState, Strategy, FUEL};
+use crate::frame::Frame;
 use semlock::error::LockError;
-use semlock::mode::{LockSiteId, ModeTable};
+use semlock::mode::{LockSiteId, ModeId, ModeTable};
 use semlock::schema::MethodIdx;
 use semlock::telemetry;
 use semlock::value::Value;
@@ -59,11 +61,11 @@ pub struct CompiledSection {
     /// Wrapper pointer slots bound to their global instances at frame
     /// initialization.
     wrapper_binds: Vec<(u16, Value)>,
-    /// Declared variable names in slot order (shared by every
-    /// [`CompiledFrame`] this section produces). Caller arguments bind by
-    /// a linear scan — sections declare a handful of short names, so the
-    /// scan beats hashing the argument name.
-    names: Arc<[String]>,
+    /// Declared variable names in slot order (lent to every [`Frame`]
+    /// this section produces). Caller arguments bind by a linear scan —
+    /// sections declare a handful of short names, so the scan beats
+    /// hashing the argument name.
+    names: Box<[String]>,
     /// Initial register values: NULL for pointers, 0 for scalars/temps,
     /// wrapper handles pre-bound.
     init: Box<[Value]>,
@@ -105,88 +107,6 @@ impl CompiledSection {
     }
 }
 
-/// Sections rarely declare more than a handful of variables; frames up to
-/// this many values are returned inline, so a warm compiled run performs
-/// no heap allocation at all.
-const INLINE_VALUES: usize = 12;
-
-enum FrameValues {
-    Inline {
-        len: u8,
-        buf: [Value; INLINE_VALUES],
-    },
-    Heap(Vec<Value>),
-}
-
-impl FrameValues {
-    fn of(declared: &[Value]) -> FrameValues {
-        if declared.len() <= INLINE_VALUES {
-            let mut buf = [Value(0); INLINE_VALUES];
-            buf[..declared.len()].copy_from_slice(declared);
-            FrameValues::Inline {
-                len: declared.len() as u8,
-                buf,
-            }
-        } else {
-            FrameValues::Heap(declared.to_vec())
-        }
-    }
-
-    fn as_slice(&self) -> &[Value] {
-        match self {
-            FrameValues::Inline { len, buf } => &buf[..*len as usize],
-            FrameValues::Heap(v) => v,
-        }
-    }
-}
-
-/// Final variable frame of a compiled run: declared variables by slot, in
-/// declaration order, with no per-run `String` or `HashMap` cost.
-pub struct CompiledFrame {
-    values: FrameValues,
-    names: Arc<[String]>,
-}
-
-impl CompiledFrame {
-    /// Value of a declared variable.
-    pub fn get(&self, name: &str) -> Option<Value> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.values.as_slice()[i])
-    }
-
-    /// Declared variables in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, Value)> {
-        self.names
-            .iter()
-            .map(String::as_str)
-            .zip(self.values.as_slice().iter().copied())
-    }
-
-    /// Convert into the name-keyed [`Frame`] the tree-walker returns.
-    pub fn into_frame(self) -> Frame {
-        self.names
-            .iter()
-            .cloned()
-            .zip(self.values.as_slice().iter().copied())
-            .collect()
-    }
-}
-
-impl std::ops::Index<&str> for CompiledFrame {
-    type Output = Value;
-
-    fn index(&self, name: &str) -> &Value {
-        let i = self
-            .names
-            .iter()
-            .position(|n| n == name)
-            .unwrap_or_else(|| panic!("no variable named {name}"));
-        &self.values.as_slice()[i]
-    }
-}
-
 /// Resolve the `MethodIdx` a call will dispatch with at run time. Receiver
 /// instances are either `adts` instances (created by `Env::new_instance`)
 /// or global-wrapper instances, so the authoritative schema is the class's
@@ -223,7 +143,7 @@ pub fn compile_tape(env: &Env, tape: Tape) -> CompiledSection {
         .enumerate()
         .map(|(i, (n, _))| (n.clone(), i as u16))
         .collect();
-    let names: Arc<[String]> = tape.vars.iter().map(|(n, _)| n.clone()).collect();
+    let names: Box<[String]> = tape.vars.iter().map(|(n, _)| n.clone()).collect();
     let mut init = vec![Value(0); tape.n_slots as usize];
     for (i, (_, ty)) in tape.vars.iter().enumerate() {
         if matches!(ty, synth::ir::VarType::Ptr(_)) {
@@ -288,42 +208,24 @@ pub fn compile_program_opt(env: &Env, opt: bool) -> Vec<(String, Arc<CompiledSec
         .collect()
 }
 
-/// One memoized φ evaluation: the mode a table selected for a key at a
-/// lock site. An entry is valid only while its identity fields match —
-/// the table by pointer ([`Arc::ptr_eq`]), the runtime site id, and the
-/// key value — so entries from another section or environment sharing
-/// the pool slot simply miss and refill.
-struct PhiCache {
-    table: Arc<ModeTable>,
-    rt_site: LockSiteId,
-    key: Value,
-    mode: semlock::mode::ModeId,
-}
-
 /// One member of an in-flight [`LowOp::AcquireBatch`], after the
 /// per-member prologue (null/held skips, φ mode selection, checker
 /// registration, Lock fault boundary) ran in original op order.
 struct BatchMember {
-    adt: Arc<SharedAdt>,
-    mode: semlock::mode::ModeId,
+    /// Instance id (the pool outlives any borrow of the environment).
+    id: u64,
+    mode: ModeId,
     stable_id: u32,
 }
 
 /// Per-thread run scratch, recycled across compiled runs so a warm run
-/// performs no heap allocation: the register file, the handle cache, the
-/// group-lock buffers, the φ inline cache, and the `RunState` buffers
-/// are all reused. The handle cache is cleared between runs — instance
-/// ids are only unique within one environment, and the pool outlives any
-/// particular `Interp`. The φ cache is deliberately *not* cleared: its
-/// entries self-validate against the mode-table identity, so warm runs
-/// of the same section keep their hits while any other section misses
-/// and refills.
+/// performs no heap allocation: the register file, the group-lock
+/// buffers, and the `RunState` buffers are all reused. It holds values
+/// and ids only — nothing that refers to one environment — because the
+/// pool outlives any particular `Interp`.
 struct Scratch {
     regs: Vec<Value>,
-    cache: Vec<Option<Arc<SharedAdt>>>,
     group: Vec<(u64, Value, u16)>,
-    /// φ inline cache, indexed by tape site (single-key sites only).
-    phi: Vec<Option<PhiCache>>,
     /// Batched-admission member buffer (pool order).
     batch: Vec<BatchMember>,
     /// Canonical admission order: indices into `batch`, sorted by
@@ -340,15 +242,13 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-fn scratch_take(txn: u64, init: &[Value], n_sites: usize) -> Box<Scratch> {
+fn scratch_take(txn: u64, init: &[Value]) -> Box<Scratch> {
     let mut s = SCRATCH_POOL
         .with(|pool| pool.borrow_mut().pop())
         .unwrap_or_else(|| {
             Box::new(Scratch {
                 regs: Vec::new(),
-                cache: Vec::new(),
                 group: Vec::new(),
-                phi: Vec::new(),
                 batch: Vec::new(),
                 border: Vec::new(),
                 st: RunState::new(0),
@@ -357,15 +257,9 @@ fn scratch_take(txn: u64, init: &[Value], n_sites: usize) -> Box<Scratch> {
     s.st.reset(txn);
     s.regs.clear();
     s.regs.extend_from_slice(init);
-    s.cache.clear();
-    s.cache.resize(init.len(), None);
     s.group.clear();
     s.batch.clear();
     s.border.clear();
-    // Keep existing φ entries (self-validating); just ensure coverage.
-    if s.phi.len() < n_sites {
-        s.phi.resize_with(n_sites, || None);
-    }
     s
 }
 
@@ -378,30 +272,20 @@ fn scratch_put(s: Box<Scratch>) {
     });
 }
 
-/// Run one compiled section: the [`Interp::try_run_section`] counterpart,
-/// with the same global-lock placement, unwind safety, and abort cleanup.
-pub(crate) fn run_compiled(
+/// Run one compiled section as transaction `txn`: the counterpart of
+/// `Interp::try_run_section_as`, with the same global-lock placement,
+/// unwind safety, and abort cleanup. `Interp::run_with_retry` passes each
+/// attempt a fresh id and, once escalated, the patience threaded through
+/// the pooled `RunState`.
+pub(crate) fn run_compiled_as<'a>(
     interp: &Interp,
-    cs: &CompiledSection,
-    args: &[(&str, Value)],
-) -> Result<CompiledFrame, LockError> {
-    run_compiled_as(interp, cs, args, interp.next_txn(), None)
-}
-
-/// [`run_compiled`] with an explicit transaction id and optional
-/// escalation patience — the compiled-engine counterpart of
-/// `Interp::try_run_section_as`, used by `Interp::run_with_retry` so each
-/// attempt is a fresh transaction with the escalated acquisition spec
-/// threaded through the pooled `RunState`.
-pub(crate) fn run_compiled_as(
-    interp: &Interp,
-    cs: &CompiledSection,
+    cs: &'a CompiledSection,
     args: &[(&str, Value)],
     txn: u64,
     escalate: Option<std::time::Duration>,
-) -> Result<CompiledFrame, LockError> {
+) -> Result<Frame<'a>, LockError> {
     debug_assert_eq!(interp.engine(), Engine::Compiled);
-    let mut scratch = scratch_take(txn, &cs.init, cs.sites.len());
+    let mut scratch = scratch_take(txn, &cs.init);
     scratch.st.escalate_patience = escalate;
     for (name, v) in args {
         let slot = cs
@@ -444,10 +328,7 @@ pub(crate) fn run_compiled_as(
     if interp.strategy == Strategy::Global {
         interp.global.unlock();
     }
-    let frame = result.map(|()| CompiledFrame {
-        values: FrameValues::of(&scratch.regs[..cs.names.len()]),
-        names: cs.names.clone(),
-    });
+    let frame = result.map(|()| Frame::borrowed(&cs.names, &scratch.regs[..cs.names.len()]));
     scratch_put(scratch);
     frame
 }
@@ -456,17 +337,12 @@ pub(crate) fn run_compiled_as(
 fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Result<(), LockError> {
     let env: &Env = &interp.env;
     let ops = &cs.tape.ops[..];
-    // Per-slot instance-handle cache: `Registry::get` (RwLock + HashMap +
-    // Arc clone) is paid once per distinct pointer value per slot. Entries
-    // self-validate against the current register value, so rebinding a
-    // pointer variable just refills its slot. `group` is the group-lock
-    // scratch: (instance id, handle, site index). Everything lives in the
-    // pooled `Scratch`, so a warm run allocates nothing.
+    // `group` is the group-lock scratch: (instance id, handle, site
+    // index). Everything lives in the pooled `Scratch`, so a warm run
+    // allocates nothing.
     let Scratch {
         regs,
-        cache,
         group,
-        phi,
         batch,
         border,
         st,
@@ -512,14 +388,12 @@ fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Res
                 args_start,
                 args_len,
             } => {
-                let handle = regs[recv as usize];
-                let adt = resolve_cached(env, cache, regs, recv);
+                let adt = env.resolve_ref(regs[recv as usize]);
                 let mut argv = std::mem::take(&mut st.scratch_argv);
                 argv.clear();
                 let arg_slots =
                     &cs.tape.arg_pool[args_start as usize..args_start as usize + args_len as usize];
                 argv.extend(arg_slots.iter().map(|&s| regs[s as usize]));
-                debug_assert_eq!(adt.id, handle.0);
                 let result = interp.invoke_adt(adt, cs.methods[call as usize], &argv, st);
                 st.scratch_argv = argv;
                 if ret != NO_SLOT {
@@ -537,8 +411,9 @@ fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Res
                 }
             }
             LowOp::Lock { recv, site } => {
-                if !regs[recv as usize].is_null() {
-                    acquire_site(interp, cs, site, recv, regs, cache, phi, st)?;
+                let handle = regs[recv as usize];
+                if !handle.is_null() {
+                    acquire_site(interp, cs, site, handle, regs, st)?;
                 }
             }
             LowOp::LockGroup { start, len } => {
@@ -552,12 +427,12 @@ fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Res
                     if handle.is_null() {
                         None
                     } else {
-                        Some((env.resolve(handle).id, handle, site))
+                        Some((env.resolve_ref(handle).id, handle, site))
                     }
                 }));
                 group.sort_by_key(|&(id, _, _)| id);
                 for &(_, handle, site) in group.iter() {
-                    acquire_handle(interp, cs, site, handle, regs, phi, st)?;
+                    acquire_site(interp, cs, site, handle, regs, st)?;
                 }
             }
             LowOp::AcquireBatch { start, len } => {
@@ -568,18 +443,14 @@ fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Res
                         // Identical to the per-op path: plain locks in
                         // original op order with held-instance dedup.
                         for &(slot, _) in entries {
-                            if regs[slot as usize].is_null() {
-                                continue;
-                            }
-                            let adt = resolve_cached(env, cache, regs, slot);
-                            if !st.held_plain.iter().any(|a| a.id == adt.id) {
-                                adt.plain.lock();
-                                st.held_plain.push(adt.clone());
+                            let handle = regs[slot as usize];
+                            if !handle.is_null() {
+                                st.lock_plain(env.resolve_ref(handle));
                             }
                         }
                     }
                     Strategy::Semantic => {
-                        acquire_batch(interp, cs, entries, regs, cache, phi, batch, border, st)?;
+                        acquire_batch(interp, cs, entries, regs, batch, border, st)?;
                     }
                 }
             }
@@ -601,144 +472,44 @@ fn jump(pc: usize, off: i32) -> usize {
     (pc as i64 + 1 + off as i64) as usize
 }
 
-/// Resolve the instance in `regs[slot]` through the per-slot cache. The
-/// returned reference borrows the cache entry, so a cache hit costs one
-/// id comparison — no `Arc` refcount traffic.
-#[inline]
-fn resolve_cached<'c>(
-    env: &Env,
-    cache: &'c mut [Option<Arc<SharedAdt>>],
-    regs: &[Value],
-    slot: u16,
-) -> &'c Arc<SharedAdt> {
-    let handle = regs[slot as usize];
-    let entry = &mut cache[slot as usize];
-    match entry {
-        Some(a) if a.id == handle.0 => {}
-        _ => *entry = Some(env.resolve(handle)),
-    }
-    entry.as_ref().expect("cache entry just filled")
-}
-
-/// Acquire a lock site on the instance held in `regs[recv]` (non-null).
-#[allow(clippy::too_many_arguments)]
+/// Acquire a lock site on the instance behind `handle` (non-null), per
+/// the active strategy, with the held-instance skip.
 fn acquire_site(
-    interp: &Interp,
-    cs: &CompiledSection,
-    site: u16,
-    recv: u16,
-    regs: &[Value],
-    cache: &mut [Option<Arc<SharedAdt>>],
-    phi: &mut [Option<PhiCache>],
-    st: &mut RunState,
-) -> Result<(), LockError> {
-    match interp.strategy {
-        Strategy::Global => Ok(()),
-        Strategy::TwoPhase => {
-            let adt = resolve_cached(&interp.env, cache, regs, recv);
-            if !st.held_plain.iter().any(|a| a.id == adt.id) {
-                adt.plain.lock();
-                st.held_plain.push(adt.clone());
-            }
-            Ok(())
-        }
-        Strategy::Semantic => {
-            let handle = regs[recv as usize];
-            if st.held_sem.iter().any(|(a, _, _)| a.id == handle.0) {
-                return Ok(());
-            }
-            let adt = resolve_cached(&interp.env, cache, regs, recv).clone();
-            acquire_semantic_site(interp, cs, site, adt, regs, phi, st)
-        }
-    }
-}
-
-/// Acquire a lock site on a handle outside the slot cache (group locking,
-/// where the sort already resolved ids).
-fn acquire_handle(
     interp: &Interp,
     cs: &CompiledSection,
     site: u16,
     handle: Value,
     regs: &[Value],
-    phi: &mut [Option<PhiCache>],
     st: &mut RunState,
 ) -> Result<(), LockError> {
     match interp.strategy {
         Strategy::Global => Ok(()),
         Strategy::TwoPhase => {
-            let adt = interp.env.resolve(handle);
-            if !st.held_plain.iter().any(|a| a.id == adt.id) {
-                adt.plain.lock();
-                st.held_plain.push(adt);
-            }
+            st.lock_plain(interp.env.resolve_ref(handle));
             Ok(())
         }
         Strategy::Semantic => {
-            if st.held_sem.iter().any(|(a, _, _)| a.id == handle.0) {
+            if st.held_sem.iter().any(|&(id, _)| id == handle.0) {
                 return Ok(());
             }
-            let adt = interp.env.resolve(handle);
-            acquire_semantic_site(interp, cs, site, adt, regs, phi, st)
+            let adt = interp.env.resolve_ref(handle);
+            let rs = &cs.sites[site as usize];
+            let mode = select_mode(rs, regs, st);
+            interp.lock_prologue(adt, &rs.table, mode, st)?;
+            interp.acquire_semantic_admit(adt, mode, rs.stable_id, st)
         }
     }
 }
 
-/// Select the locking mode for a site, through the φ inline cache when
-/// the site keys on at most one slot (the overwhelmingly common shape:
-/// `φ` maps one key to a partition). Multi-key sites evaluate `φ`
-/// directly. The cache is sound because mode selection is a pure
-/// function of `(table, rt_site, keys)`; the entry revalidates all
-/// three, so a hit returns exactly what `select` would.
-fn select_mode(
-    rs: &ResolvedSite,
-    site: u16,
-    regs: &[Value],
-    phi: &mut [Option<PhiCache>],
-    st: &mut RunState,
-) -> semlock::mode::ModeId {
-    if rs.key_slots.len() > 1 {
-        let mut keys = std::mem::take(&mut st.scratch_keys);
-        keys.clear();
-        keys.extend(rs.key_slots.iter().map(|&s| regs[s as usize]));
-        let mode = rs.table.select(rs.rt_site, &keys);
-        st.scratch_keys = keys;
-        return mode;
-    }
-    let key = rs.key_slots.first().map_or(Value(0), |&s| regs[s as usize]);
-    let entry = &mut phi[site as usize];
-    if let Some(c) = entry {
-        if Arc::ptr_eq(&c.table, &rs.table) && c.rt_site == rs.rt_site && c.key == key {
-            return c.mode;
-        }
-    }
-    let keys = [key];
-    let mode = rs
-        .table
-        .select(rs.rt_site, &keys[..rs.key_slots.len()]);
-    *entry = Some(PhiCache {
-        table: rs.table.clone(),
-        rt_site: rs.rt_site,
-        key,
-        mode,
-    });
+/// Select the locking mode for a site from the current values of its key
+/// slots (`φ` per key, then one table load).
+fn select_mode(rs: &ResolvedSite, regs: &[Value], st: &mut RunState) -> ModeId {
+    let mut keys = std::mem::take(&mut st.scratch_keys);
+    keys.clear();
+    keys.extend(rs.key_slots.iter().map(|&s| regs[s as usize]));
+    let mode = rs.table.select(rs.rt_site, &keys);
+    st.scratch_keys = keys;
     mode
-}
-
-/// Mode selection + shared semantic acquisition for a resolved site.
-fn acquire_semantic_site(
-    interp: &Interp,
-    cs: &CompiledSection,
-    site: u16,
-    adt: Arc<SharedAdt>,
-    regs: &[Value],
-    phi: &mut [Option<PhiCache>],
-    st: &mut RunState,
-) -> Result<(), LockError> {
-    let rs = &cs.sites[site as usize];
-    let mode = select_mode(rs, site, regs, phi, st);
-    interp.lock_prologue(&adt, &rs.table, mode, st)?;
-    interp.acquire_semantic_admit(adt, mode, rs.stable_id, st)
 }
 
 /// Batched semantic admission for a [`LowOp::AcquireBatch`].
@@ -758,14 +529,11 @@ fn acquire_semantic_site(
 /// runs), and the batch escalates to the sequential blocking protocol in
 /// original op order — byte-identical behavior, error identity, and
 /// partial-hold state to the unoptimized tape under contention.
-#[allow(clippy::too_many_arguments)]
 fn acquire_batch(
     interp: &Interp,
     cs: &CompiledSection,
     entries: &[(u16, u16)],
     regs: &[Value],
-    cache: &mut [Option<Arc<SharedAdt>>],
-    phi: &mut [Option<PhiCache>],
     batch: &mut Vec<BatchMember>,
     border: &mut Vec<usize>,
     st: &mut RunState,
@@ -774,37 +542,44 @@ fn acquire_batch(
     for &(slot, site) in entries {
         let handle = regs[slot as usize];
         if handle.is_null()
-            || st.held_sem.iter().any(|(a, _, _)| a.id == handle.0)
-            || batch.iter().any(|m| m.adt.id == handle.0)
+            || st.held_sem.iter().any(|&(id, _)| id == handle.0)
+            || batch.iter().any(|m| m.id == handle.0)
         {
             continue;
         }
-        let adt = resolve_cached(&interp.env, cache, regs, slot).clone();
+        let adt = interp.env.resolve_ref(handle);
         let rs = &cs.sites[site as usize];
-        let mode = select_mode(rs, site, regs, phi, st);
-        interp.lock_prologue(&adt, &rs.table, mode, st)?;
+        let mode = select_mode(rs, regs, st);
+        interp.lock_prologue(adt, &rs.table, mode, st)?;
         batch.push(BatchMember {
-            adt,
+            id: adt.id,
             mode,
             stable_id: rs.stable_id,
         });
     }
     if batch.len() <= 1 {
         if let Some(m) = batch.pop() {
-            return interp.acquire_semantic_admit(m.adt, m.mode, m.stable_id, st);
+            return interp.acquire_semantic_admit(interp.instance(m.id), m.mode, m.stable_id, st);
         }
         return Ok(());
     }
+    // An instance's id is its lock's `unique()`: sorting by id is the
+    // canonical order.
     border.clear();
     border.extend(0..batch.len());
-    border.sort_unstable_by_key(|&i| batch[i].adt.sem().unique());
+    border.sort_unstable_by_key(|&i| batch[i].id);
     let mut refused = None;
     for (k, &i) in border.iter().enumerate() {
         let m = &batch[i];
         if telemetry::enabled() {
             telemetry::set_context(st.txn, m.stable_id);
         }
-        if m.adt.sem().try_lock_checked(m.mode).is_err() {
+        if interp
+            .instance(m.id)
+            .sem()
+            .try_lock_checked(m.mode)
+            .is_err()
+        {
             refused = Some(k);
             break;
         }
@@ -816,9 +591,10 @@ fn acquire_batch(
             // and checker callbacks) matches the unoptimized tape.
             for m in batch.drain(..) {
                 if let Some(c) = &interp.checker {
-                    c.on_lock(st.txn, m.adt.id, m.mode);
+                    c.on_lock(st.txn, m.id, m.mode);
                 }
-                st.held_sem.push((m.adt, m.mode, m.stable_id));
+                st.held_sem.push((m.id, m.mode));
+                st.held_sites.push(m.stable_id);
             }
             Ok(())
         }
@@ -828,10 +604,10 @@ fn acquire_batch(
                 if telemetry::enabled() {
                     telemetry::set_context(st.txn, m.stable_id);
                 }
-                m.adt.sem().unlock(m.mode);
+                interp.instance(m.id).sem().unlock(m.mode);
             }
             for m in batch.drain(..) {
-                interp.acquire_semantic_admit(m.adt, m.mode, m.stable_id, st)?;
+                interp.acquire_semantic_admit(interp.instance(m.id), m.mode, m.stable_id, st)?;
             }
             Ok(())
         }

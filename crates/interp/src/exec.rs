@@ -28,13 +28,14 @@
 //! deterministic [`FaultPlan`] through every lock / unlock / operation
 //! boundary.
 
-use crate::compile::{self, CompiledFrame, CompiledSection};
+use crate::compile::{self, CompiledSection};
 use crate::env::{Env, SharedAdt};
+use crate::frame::{Frame, InlineVec};
 use baselines::BinaryLock;
 use semlock::acquire::AcquireSpec;
 use semlock::error::LockError;
 use semlock::fault::{self, FaultAction, FaultPlan, FaultPoint};
-use semlock::mode::{LockSiteId, ModeId, ModeTable};
+use semlock::mode::{ModeId, ModeTable};
 use semlock::protocol::ProtocolChecker;
 use semlock::retry::{RetryOutcome, RetryPolicy, RetryState};
 use semlock::schema::MethodIdx;
@@ -95,8 +96,9 @@ pub struct Interp {
     txn_ids: Option<Arc<AtomicU64>>,
 }
 
-/// Final variable frame of a section run.
-pub type Frame = HashMap<String, Value>;
+/// Attempt ids a [`RetryRun`] keeps inline; a request that needs more
+/// attempts than this has slept through backoffs that dwarf an allocation.
+const INLINE_ATTEMPTS: usize = 4;
 
 /// Outcome of a successful [`Interp::run_with_retry`]: the final frame
 /// plus the retry trajectory that produced it (replay evidence for the
@@ -106,9 +108,9 @@ pub type Frame = HashMap<String, Value>;
 /// per-attempt wait breakdowns).
 #[derive(Debug)]
 #[non_exhaustive]
-pub struct RetryRun {
+pub struct RetryRun<'a> {
     /// The completed attempt's final variable frame.
-    pub frame: Frame,
+    pub frame: Frame<'a>,
     /// Total attempts, including the one that succeeded (1 = first try).
     pub attempts: u32,
     /// Did the transaction age into the escalated pessimistic path?
@@ -116,17 +118,24 @@ pub struct RetryRun {
     /// The jittered backoff slept before each non-escalated retry, in
     /// order. Deterministic given (policy seed, txn ids).
     pub backoffs: Vec<Duration>,
-    /// The transaction id of every attempt, in order. Deterministic under
-    /// [`Interp::with_txn_ids`].
-    pub txns: Vec<u64>,
+    /// The transaction id of every attempt, in order (a slice through
+    /// `Deref`). Deterministic under [`Interp::with_txn_ids`].
+    pub txns: InlineVec<u64, INLINE_ATTEMPTS>,
 }
 
 pub(crate) struct RunState {
-    pub(crate) frame: Frame,
-    /// Held semantic locks with the stable site id of the acquiring
+    /// The tree-walker's name-keyed working frame (the compiled engine
+    /// runs on its register file and leaves this empty).
+    pub(crate) frame: HashMap<String, Value>,
+    /// Held semantic locks as `(instance id, mode)`, in acquisition
+    /// order. An instance's id is its lock's `unique()`, so this is also
+    /// the held set a bounded acquisition lends the deadlock watchdog.
+    pub(crate) held_sem: Vec<(u64, ModeId)>,
+    /// Parallel to `held_sem`: the stable site id of the acquiring
     /// `LS(l)` statement (for telemetry attribution on release).
-    pub(crate) held_sem: Vec<(Arc<SharedAdt>, ModeId, u32)>,
-    pub(crate) held_plain: Vec<Arc<SharedAdt>>,
+    pub(crate) held_sites: Vec<u32>,
+    /// Instance ids whose plain (2PL) lock is held.
+    pub(crate) held_plain: Vec<u64>,
     pub(crate) txn: u64,
     pub(crate) fuel: u64,
     /// Per-transaction injection-point ordinal (chaos determinism).
@@ -150,8 +159,9 @@ pub(crate) struct RunState {
 impl RunState {
     pub(crate) fn new(txn: u64) -> RunState {
         RunState {
-            frame: Frame::new(),
+            frame: HashMap::new(),
             held_sem: Vec::new(),
+            held_sites: Vec::new(),
             held_plain: Vec::new(),
             txn,
             fuel: FUEL,
@@ -169,6 +179,7 @@ impl RunState {
     pub(crate) fn reset(&mut self, txn: u64) {
         self.frame.clear();
         self.held_sem.clear();
+        self.held_sites.clear();
         self.held_plain.clear();
         self.txn = txn;
         self.fuel = FUEL;
@@ -178,6 +189,15 @@ impl RunState {
         self.escalate_patience = None;
         self.scratch_argv.clear();
         self.scratch_keys.clear();
+    }
+
+    /// 2PL acquisition: take the instance's plain lock unless this
+    /// transaction already holds it.
+    pub(crate) fn lock_plain(&mut self, adt: &SharedAdt) {
+        if !self.held_plain.contains(&adt.id) {
+            adt.plain.lock();
+            self.held_plain.push(adt.id);
+        }
     }
 }
 
@@ -280,7 +300,7 @@ impl Interp {
     /// Run a section by name with the given variable bindings; returns the
     /// final frame. Panics on acquisition failure (see [`Interp::try_run`]
     /// for the fallible form).
-    pub fn run(&self, section_name: &str, args: &[(&str, Value)]) -> Frame {
+    pub fn run(&self, section_name: &str, args: &[(&str, Value)]) -> Frame<'_> {
         match self.try_run(section_name, args) {
             Ok(frame) => frame,
             Err(e) => panic!("section {section_name} aborted: {e}"),
@@ -291,7 +311,11 @@ impl Interp {
     /// a poisoned instance, or would deadlock aborts the section — every
     /// held lock is released (instances the transaction had already mutated
     /// are poisoned first) and the error is returned.
-    pub fn try_run(&self, section_name: &str, args: &[(&str, Value)]) -> Result<Frame, LockError> {
+    pub fn try_run(
+        &self,
+        section_name: &str,
+        args: &[(&str, Value)],
+    ) -> Result<Frame<'_>, LockError> {
         self.try_run_as(section_name, args, self.next_txn(), None)
     }
 
@@ -307,15 +331,15 @@ impl Interp {
         args: &[(&str, Value)],
         txn: u64,
         escalate: Option<Duration>,
-    ) -> Result<Frame, LockError> {
+    ) -> Result<Frame<'_>, LockError> {
         if self.engine == Engine::Compiled {
             if let Some(cs) = self.compiled_section(section_name) {
-                return compile::run_compiled_as(self, cs, args, txn, escalate)
-                    .map(CompiledFrame::into_frame);
+                return compile::run_compiled_as(self, cs, args, txn, escalate);
             }
         }
-        let program = self.env.program.clone();
-        let section = program
+        let section = self
+            .env
+            .program
             .sections
             .iter()
             .find(|s| s.name == section_name)
@@ -323,11 +347,10 @@ impl Interp {
         self.try_run_section_as(section, args, txn, escalate)
     }
 
-    /// Run a compiled section, returning its dense [`CompiledFrame`]
-    /// without converting back to a name-keyed [`Frame`] — the allocation-
-    /// free fast path benchmarks use. Panics on acquisition failure and if
-    /// the engine is not [`Engine::Compiled`].
-    pub fn run_compiled(&self, section_name: &str, args: &[(&str, Value)]) -> CompiledFrame {
+    /// [`Interp::run`] that insists on the compiled engine: panics on
+    /// acquisition failure and if the section was not compiled (the engine
+    /// is not [`Engine::Compiled`]).
+    pub fn run_compiled(&self, section_name: &str, args: &[(&str, Value)]) -> Frame<'_> {
         match self.try_run_compiled(section_name, args) {
             Ok(f) => f,
             Err(e) => panic!("section {section_name} aborted: {e}"),
@@ -339,14 +362,14 @@ impl Interp {
         &self,
         section_name: &str,
         args: &[(&str, Value)],
-    ) -> Result<CompiledFrame, LockError> {
+    ) -> Result<Frame<'_>, LockError> {
         let cs = self.compiled_section(section_name).unwrap_or_else(|| {
             panic!(
                 "no compiled section named {section_name} (engine: {:?})",
                 self.engine
             )
         });
-        compile::run_compiled(self, cs, args)
+        compile::run_compiled_as(self, cs, args, self.next_txn(), None)
     }
 
     /// Run a section under an abort-retry loop governed by `policy`,
@@ -379,10 +402,10 @@ impl Interp {
         section_name: &str,
         args: &[(&str, Value)],
         policy: &RetryPolicy,
-    ) -> Result<RetryRun, LockError> {
+    ) -> Result<RetryRun<'_>, LockError> {
         let mut st = RetryState::new();
         let mut backoffs = Vec::new();
-        let mut txns = Vec::new();
+        let mut txns = InlineVec::default();
         let mut escalation_counted = false;
         loop {
             let txn = self.next_txn();
@@ -434,7 +457,7 @@ impl Interp {
 
     /// Run a specific section with the given bindings. Panics on
     /// acquisition failure.
-    pub fn run_section(&self, section: &AtomicSection, args: &[(&str, Value)]) -> Frame {
+    pub fn run_section(&self, section: &AtomicSection, args: &[(&str, Value)]) -> Frame<'static> {
         match self.try_run_section(section, args) {
             Ok(frame) => frame,
             Err(e) => panic!("section {} aborted: {e}", section.name),
@@ -446,7 +469,7 @@ impl Interp {
         &self,
         section: &AtomicSection,
         args: &[(&str, Value)],
-    ) -> Result<Frame, LockError> {
+    ) -> Result<Frame<'static>, LockError> {
         self.try_run_section_as(section, args, self.next_txn(), None)
     }
 
@@ -458,9 +481,9 @@ impl Interp {
         args: &[(&str, Value)],
         txn: u64,
         escalate: Option<Duration>,
-    ) -> Result<Frame, LockError> {
+    ) -> Result<Frame<'static>, LockError> {
         // Initialize the frame: pointers null, scalars zero, args override.
-        let mut frame: Frame = section
+        let mut frame: HashMap<String, Value> = section
             .decls
             .iter()
             .map(|(name, ty)| {
@@ -521,7 +544,7 @@ impl Interp {
         if self.strategy == Strategy::Global {
             self.global.unlock();
         }
-        result.map(|()| st.frame)
+        result.map(|()| Frame::owned(st.frame))
     }
 
     /// Abort path: poison every still-held instance the transaction already
@@ -529,20 +552,32 @@ impl Interp {
     /// Never consults the fault plan — injecting during cleanup of an abort
     /// could double-panic.
     pub(crate) fn abort_cleanup(&self, st: &mut RunState) {
-        for (adt, mode, site) in st.held_sem.drain(..) {
-            if st.mutated.contains(&adt.id) || st.in_flight == Some(adt.id) {
-                adt.sem().poison();
+        for ((id, mode), site) in st.held_sem.drain(..).zip(st.held_sites.drain(..)) {
+            if st.mutated.contains(&id) || st.in_flight == Some(id) {
+                self.instance(id).sem().poison();
             }
-            if telemetry::enabled() {
-                telemetry::set_context(st.txn, site);
-            }
-            adt.sem().unlock(mode);
-            if let Some(c) = &self.checker {
-                c.on_unlock(st.txn, adt.id);
-            }
+            self.unlock_sem(id, mode, site, st.txn);
         }
-        for adt in st.held_plain.drain(..) {
-            adt.plain.unlock();
+        for id in st.held_plain.drain(..) {
+            self.instance(id).plain.unlock();
+        }
+    }
+
+    /// The instance a held-set entry names.
+    #[inline]
+    pub(crate) fn instance(&self, id: u64) -> &SharedAdt {
+        self.env.registry().get_ref(id)
+    }
+
+    /// Release one held semantic mode: telemetry attribution, the unlock,
+    /// the checker callback.
+    fn unlock_sem(&self, id: u64, mode: ModeId, site: u32, txn: u64) {
+        if telemetry::enabled() {
+            telemetry::set_context(txn, site);
+        }
+        self.instance(id).sem().unlock(mode);
+        if let Some(c) = &self.checker {
+            c.on_unlock(txn, id);
         }
     }
 
@@ -570,7 +605,7 @@ impl Interp {
         }
     }
 
-    fn eval(&self, e: &Expr, frame: &Frame) -> Value {
+    fn eval(&self, e: &Expr, frame: &HashMap<String, Value>) -> Value {
         match e {
             Expr::Const(v) => *v,
             Expr::Null => Value::NULL,
@@ -624,8 +659,7 @@ impl Interp {
                 args,
                 ..
             } => {
-                let handle = st.frame[recv];
-                let adt = self.env.resolve(handle);
+                let adt = self.env.resolve_ref(st.frame[recv]);
                 // Reuse the run's argument buffer: it is taken out while
                 // filled so `eval` can borrow the frame freely, and put
                 // back afterwards (a fault-injected panic merely drops the
@@ -636,7 +670,7 @@ impl Interp {
                     argv.push(self.eval(a, &st.frame));
                 }
                 let midx = adt.obj.schema().method(method);
-                let result = self.invoke_adt(&adt, midx, &argv, st);
+                let result = self.invoke_adt(adt, midx, &argv, st);
                 st.scratch_argv = argv;
                 if let Some(r) = ret {
                     frame_set(&mut st.frame, r, result);
@@ -679,7 +713,7 @@ impl Interp {
                         if handle.is_null() {
                             None
                         } else {
-                            Some((self.env.resolve(handle).id, handle, *site))
+                            Some((self.env.resolve_ref(handle).id, handle, *site))
                         }
                     })
                     .collect();
@@ -742,26 +776,9 @@ impl Interp {
         result
     }
 
-    /// The semantic-strategy acquisition tail, after the held-set dedup
-    /// check and site resolution: mode selection, checker registration,
-    /// the Lock fault boundary, telemetry attribution, and the actual
-    /// admission. Shared by both engines.
-    pub(crate) fn acquire_semantic(
-        &self,
-        adt: Arc<SharedAdt>,
-        table: &Arc<ModeTable>,
-        rt_site: LockSiteId,
-        keys: &[Value],
-        stable_id: u32,
-        st: &mut RunState,
-    ) -> Result<(), LockError> {
-        let mode = table.select(rt_site, keys);
-        self.lock_prologue(&adt, table, mode, st)?;
-        self.acquire_semantic_admit(adt, mode, stable_id, st)
-    }
-
-    /// The pre-admission half of a semantic acquisition: checker
-    /// registration and the Lock fault boundary. Split out so the
+    /// The pre-admission half of a semantic acquisition, after the held-set
+    /// dedup check and mode selection: checker registration and the Lock
+    /// fault boundary. Shared by both engines, and split out so the
     /// compiled engine's batched admission ([`LowOp::AcquireBatch`],
     /// see `crate::compile`) can run every member's prologue in original
     /// op order — consuming the same per-transaction fault-step ordinals
@@ -770,7 +787,7 @@ impl Interp {
     /// [`LowOp::AcquireBatch`]: synth::lower::LowOp::AcquireBatch
     pub(crate) fn lock_prologue(
         &self,
-        adt: &Arc<SharedAdt>,
+        adt: &SharedAdt,
         table: &Arc<ModeTable>,
         mode: ModeId,
         st: &mut RunState,
@@ -792,7 +809,7 @@ impl Interp {
     /// wait, the checker callback, and the held-set push.
     pub(crate) fn acquire_semantic_admit(
         &self,
-        adt: Arc<SharedAdt>,
+        adt: &SharedAdt,
         mode: ModeId,
         stable_id: u32,
         st: &mut RunState,
@@ -806,22 +823,20 @@ impl Interp {
         // `run_with_retry`) overrides the configured lock timeout with the
         // policy's far larger patience — still a bounded, watchdog-armed
         // wait, so cycle detection stays live while the elder waits out
-        // its competitors.
-        if let Some(timeout) = st.escalate_patience.or(self.lock_timeout) {
-            let held: Vec<(u64, ModeId)> = st
-                .held_sem
-                .iter()
-                .map(|(a, m, _)| (a.sem().unique(), *m))
-                .collect();
-            let spec = AcquireSpec::new(mode).timeout(timeout);
-            adt.sem().acquire_as(&spec, st.txn, &held)?;
-        } else {
-            adt.sem().acquire(&AcquireSpec::new(mode))?;
+        // its competitors. Building the bounded spec reads no clock, and
+        // the held set is lent as it stands.
+        let spec = AcquireSpec::new(mode);
+        match st.escalate_patience.or(self.lock_timeout) {
+            Some(timeout) => adt
+                .sem()
+                .acquire_as(&spec.timeout(timeout), st.txn, &st.held_sem)?,
+            None => adt.sem().acquire(&spec)?,
         }
         if let Some(c) = &self.checker {
             c.on_lock(st.txn, adt.id, mode);
         }
-        st.held_sem.push((adt, mode, stable_id));
+        st.held_sem.push((adt.id, mode));
+        st.held_sites.push(stable_id);
         Ok(())
     }
 
@@ -833,17 +848,12 @@ impl Interp {
         site: usize,
         st: &mut RunState,
     ) -> Result<(), LockError> {
-        let adt = self.env.resolve(handle);
+        let adt = self.env.resolve_ref(handle);
         match self.strategy {
             Strategy::Global => {}
-            Strategy::TwoPhase => {
-                if !st.held_plain.iter().any(|a| a.id == adt.id) {
-                    adt.plain.lock();
-                    st.held_plain.push(adt);
-                }
-            }
+            Strategy::TwoPhase => st.lock_plain(adt),
             Strategy::Semantic => {
-                if st.held_sem.iter().any(|(a, _, _)| a.id == adt.id) {
+                if st.held_sem.iter().any(|&(id, _)| id == adt.id) {
                     return Ok(());
                 }
                 let decl = &section.sites[site];
@@ -852,9 +862,10 @@ impl Interp {
                 let mut keys = std::mem::take(&mut st.scratch_keys);
                 keys.clear();
                 keys.extend(decl.keys.iter().map(|k| st.frame[k]));
-                let result = self.acquire_semantic(adt, table, rt_site, &keys, decl.stable_id, st);
+                let mode = table.select(rt_site, &keys);
                 st.scratch_keys = keys;
-                result?;
+                self.lock_prologue(adt, table, mode, st)?;
+                self.acquire_semantic_admit(adt, mode, decl.stable_id, st)?;
             }
         }
         Ok(())
@@ -864,54 +875,43 @@ impl Interp {
         match self.strategy {
             Strategy::Global => {}
             Strategy::TwoPhase => {
-                if let Some(pos) = st.held_plain.iter().position(|a| a.id == handle.0) {
-                    let adt = st.held_plain.swap_remove(pos);
-                    adt.plain.unlock();
+                if let Some(pos) = st.held_plain.iter().position(|&id| id == handle.0) {
+                    st.held_plain.swap_remove(pos);
+                    self.instance(handle.0).plain.unlock();
                 }
             }
             Strategy::Semantic => {
-                if let Some(pos) = st.held_sem.iter().position(|(a, _, _)| a.id == handle.0) {
+                if let Some(pos) = st.held_sem.iter().position(|&(id, _)| id == handle.0) {
                     // Consult faults *before* removing the entry: an
                     // injected panic here must leave the lock in `held_sem`
                     // so `abort_cleanup` still releases it.
                     self.fault_decision(FaultPoint::Unlock, st, handle.0);
-                    let (adt, mode, site) = st.held_sem.swap_remove(pos);
-                    if telemetry::enabled() {
-                        telemetry::set_context(st.txn, site);
-                    }
-                    adt.sem().unlock(mode);
-                    if let Some(c) = &self.checker {
-                        c.on_unlock(st.txn, adt.id);
-                    }
+                    let (id, mode) = st.held_sem.swap_remove(pos);
+                    let site = st.held_sites.swap_remove(pos);
+                    self.unlock_sem(id, mode, site, st.txn);
                 }
             }
         }
     }
 
     pub(crate) fn release_all(&self, st: &mut RunState) {
-        while !st.held_sem.is_empty() {
-            let id = st.held_sem.last().expect("non-empty").0.id;
+        while let Some(&(id, mode)) = st.held_sem.last() {
             // As in `release_one`: fault before popping, so an injected
             // panic cannot leak the about-to-be-released lock.
             self.fault_decision(FaultPoint::Unlock, st, id);
-            let (adt, mode, site) = st.held_sem.pop().expect("entry still present");
-            if telemetry::enabled() {
-                telemetry::set_context(st.txn, site);
-            }
-            adt.sem().unlock(mode);
-            if let Some(c) = &self.checker {
-                c.on_unlock(st.txn, adt.id);
-            }
+            st.held_sem.pop();
+            let site = st.held_sites.pop().expect("parallel to held_sem");
+            self.unlock_sem(id, mode, site, st.txn);
         }
-        for adt in st.held_plain.drain(..) {
-            adt.plain.unlock();
+        for id in st.held_plain.drain(..) {
+            self.instance(id).plain.unlock();
         }
     }
 }
 
 /// Write `var = v` without cloning the name when the variable is already
 /// present (decls pre-populate the frame, so this is the common case).
-fn frame_set(frame: &mut Frame, var: &str, v: Value) {
+fn frame_set(frame: &mut HashMap<String, Value>, var: &str, v: Value) {
     match frame.get_mut(var) {
         Some(slot) => *slot = v,
         None => {
@@ -921,7 +921,7 @@ fn frame_set(frame: &mut Frame, var: &str, v: Value) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use adts::{schema_of, spec_of};
     use synth::ir::{e::*, fig1_section, ptr, scalar, AtomicSection, Body};
@@ -935,7 +935,7 @@ mod tests {
         r
     }
 
-    fn compile(sections: Vec<AtomicSection>) -> Arc<synth::SynthOutput> {
+    pub(crate) fn compile(sections: Vec<AtomicSection>) -> Arc<synth::SynthOutput> {
         Arc::new(
             Synthesizer::new(registry())
                 .phi(semlock::phi::Phi::fib(16))
@@ -1331,7 +1331,8 @@ mod tests {
         // Simulate a mid-section abort: one held mode, instance mutated.
         let mut st = RunState::new(interp.next_txn());
         adt.sem().acquire(&AcquireSpec::new(mode)).unwrap();
-        st.held_sem.push((adt.clone(), mode, 0));
+        st.held_sem.push((adt.id, mode));
+        st.held_sites.push(0);
         st.mutated.push(adt.id);
         interp.abort_cleanup(&mut st);
         assert_eq!(adt.sem().total_holds(), 0);

@@ -12,8 +12,10 @@
 pub mod compile;
 pub mod env;
 pub mod exec;
+pub mod frame;
 
 pub use baselines::BinaryLock;
-pub use compile::{CompiledFrame, CompiledSection};
+pub use compile::CompiledSection;
 pub use env::{Env, Registry, SharedAdt};
-pub use exec::{Engine, Frame, Interp, RetryRun, Strategy};
+pub use exec::{Engine, Interp, RetryRun, Strategy};
+pub use frame::Frame;

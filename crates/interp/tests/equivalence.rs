@@ -617,11 +617,12 @@ fn fig1_compiled_matches_treewalk_effects() {
 }
 
 #[test]
-fn compiled_fast_path_frame_matches() {
-    // `run_compiled` returns the dense frame without Frame conversion;
-    // its values must match the converted form.
+fn both_engines_return_the_same_frame_type() {
+    // One `Frame` for both engines: declared variables in slot order,
+    // readable by name, by iteration, and as owned `(name, value)` pairs.
     let program = synthesize(vec![fig1_section()]);
     let env = Arc::new(Env::new(program));
+    let tree = Interp::new(env.clone(), Strategy::Semantic);
     let comp = Interp::new(env.clone(), Strategy::Semantic).with_engine(Engine::Compiled);
     let map = env.new_instance("Map");
     let queue = env.new_instance("Queue");
@@ -637,8 +638,12 @@ fn compiled_fast_path_frame_matches() {
     assert_eq!(fast["id"], Value(3));
     assert_eq!(fast["x"], Value(5));
     assert_eq!(fast.get("nope"), None);
-    let as_frame = fast.into_frame();
-    assert_eq!(as_frame["y"], Value(6));
+    let slow = tree.run("fig1", &args);
+    let names = |f: &interp::Frame| f.iter().map(|(n, _)| n.to_string()).collect::<Vec<_>>();
+    assert_eq!(names(&fast), names(&slow));
+    let owned: Vec<(String, Value)> = fast.into_iter().collect();
+    assert!(owned.contains(&("y".to_string(), Value(6))));
+    assert_eq!(slow["y"], Value(6));
 }
 
 proptest! {

@@ -487,9 +487,7 @@ fn packed_group_word_all_or_nothing_scenario(
 /// [`group_probe`] and, when admitted, runs a critical section spanning
 /// both partitions. No schedule may admit both groups at once, and a
 /// refused probe's rollback must leave both words balanced.
-fn packed_group_exclusivity_scenario(
-    profile: OrderingProfile,
-) -> Result<Stats, Box<Violation>> {
+fn packed_group_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
         let a = PackedMech::new(profile);
         let b = PackedMech::new(profile);

@@ -7,8 +7,8 @@
 //! [`AcquireSpec`] names those axes explicitly:
 //!
 //! * **mode** — the locking mode to take (always required);
-//! * **wait budget** — wait forever, wait until a deadline, or don't wait
-//!   at all ([`WaitBudget`]);
+//! * **wait budget** — wait forever, wait until a deadline, wait at most a
+//!   duration, or don't wait at all ([`WaitBudget`]);
 //! * **watchdog** — whether a *bounded* wait registers with the deadlock
 //!   watchdog while parked. Unbounded waits never register (exactly as
 //!   `lv` never did): with no deadline there is no probe slice to register
@@ -43,6 +43,11 @@ pub enum WaitBudget {
     /// Wait until the given instant, then give up with
     /// [`crate::error::LockError::Timeout`].
     Until(Instant),
+    /// Wait at most this long, then give up with
+    /// [`crate::error::LockError::Timeout`]. The duration runs from the
+    /// moment the acquisition first finds a conflicting mode held, so an
+    /// acquisition that is admitted at once never reads the clock.
+    Within(Duration),
     /// Never wait: a conflicted admission fails immediately with a
     /// zero-wait [`crate::error::LockError::Timeout`] (`try_lv`).
     DontWait,
@@ -82,9 +87,11 @@ impl AcquireSpec {
         self
     }
 
-    /// Bound the wait by a duration from now.
-    pub fn timeout(self, timeout: Duration) -> AcquireSpec {
-        self.deadline(Instant::now() + timeout)
+    /// Bound the wait by a duration, counted from the start of the wait
+    /// (see [`WaitBudget::Within`]).
+    pub fn timeout(mut self, timeout: Duration) -> AcquireSpec {
+        self.wait = WaitBudget::Within(timeout);
+        self
     }
 
     /// Refuse to wait at all (`try_lv`).
@@ -121,8 +128,9 @@ mod tests {
         let s = AcquireSpec::new(m).no_wait();
         assert_eq!(s.wait, WaitBudget::DontWait);
 
-        // timeout() is deadline() with a relative budget.
+        // timeout() keeps the duration: no clock is read to build a spec.
         let s = AcquireSpec::new(m).timeout(Duration::from_millis(10));
-        assert!(matches!(s.wait, WaitBudget::Until(_)));
+        assert_eq!(s.wait, WaitBudget::Within(Duration::from_millis(10)));
+        assert!(s.watchdog);
     }
 }

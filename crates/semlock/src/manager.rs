@@ -45,6 +45,15 @@ pub fn poison_events() -> u64 {
     POISON_EVENTS.load(Ordering::Relaxed)
 }
 
+/// The bound of a bounded acquisition. A [`Bound::Within`] becomes a
+/// deadline only when the acquisition first has to wait, so an admission
+/// that succeeds at once reads no clock.
+#[derive(Clone, Copy)]
+enum Bound {
+    Until(Instant),
+    Within(Duration),
+}
+
 /// Stage at which an unbounded acquisition detected poisoning — decides
 /// which of the two panic messages the infallible [`SemLock::lock`] keeps.
 enum PoisonStage {
@@ -342,17 +351,7 @@ impl SemLock {
     /// [`crate::txn::Txn::acquire`], which routes here via
     /// [`SemLock::acquire_as`] with its real id and held set.
     pub fn acquire(&self, spec: &AcquireSpec) -> Result<(), LockError> {
-        match spec.wait {
-            WaitBudget::Forever => self.lock_checked(spec.mode),
-            WaitBudget::DontWait => self.try_lock_checked(spec.mode),
-            WaitBudget::Until(deadline) => self.lock_deadline_impl(
-                spec.mode,
-                deadline,
-                crate::txn::next_txn_id(),
-                &[],
-                spec.watchdog,
-            ),
-        }
+        self.acquire_with(spec, crate::txn::next_txn_id, &[])
     }
 
     /// [`SemLock::acquire`] on behalf of transaction `txn` already holding
@@ -363,13 +362,25 @@ impl SemLock {
         txn: TxnId,
         held: &[(u64, ModeId)],
     ) -> Result<(), LockError> {
-        match spec.wait {
-            WaitBudget::Forever => self.lock_checked(spec.mode),
-            WaitBudget::DontWait => self.try_lock_checked(spec.mode),
-            WaitBudget::Until(deadline) => {
-                self.lock_deadline_impl(spec.mode, deadline, txn, held, spec.watchdog)
-            }
-        }
+        self.acquire_with(spec, || txn, held)
+    }
+
+    /// Shared body of [`SemLock::acquire`] / [`SemLock::acquire_as`]; `txn`
+    /// is only evaluated for a bounded wait.
+    #[inline]
+    fn acquire_with(
+        &self,
+        spec: &AcquireSpec,
+        txn: impl FnOnce() -> TxnId,
+        held: &[(u64, ModeId)],
+    ) -> Result<(), LockError> {
+        let bound = match spec.wait {
+            WaitBudget::Forever => return self.lock_checked(spec.mode),
+            WaitBudget::DontWait => return self.try_lock_checked(spec.mode),
+            WaitBudget::Until(deadline) => Bound::Until(deadline),
+            WaitBudget::Within(timeout) => Bound::Within(timeout),
+        };
+        self.lock_deadline_impl(spec.mode, bound, txn(), held, spec.watchdog)
     }
 
     #[cold]
@@ -577,8 +588,10 @@ impl SemLock {
     /// `txn` identifies the acquiring transaction and `held` is the set of
     /// `(instance id, mode)` pairs it already holds — both feed the
     /// watchdog's waits-for graph. The watchdog is registered only after
-    /// the wait has lasted one probe slice, so the uncontended path touches
-    /// nothing beyond the poison flag. A waits-for cycle sighted on two
+    /// the wait has lasted one probe slice, and with telemetry off a mode
+    /// that is free is admitted before any clock read, so the uncontended
+    /// path touches nothing beyond the poison flag and the admission word.
+    /// A waits-for cycle sighted on two
     /// consecutive probes aborts the member with the largest `txn`
     /// with [`LockError::WouldDeadlock`].
     pub fn lock_deadline(
@@ -588,7 +601,7 @@ impl SemLock {
         txn: TxnId,
         held: &[(u64, ModeId)],
     ) -> Result<(), LockError> {
-        self.lock_deadline_impl(mode, deadline, txn, held, true)
+        self.lock_deadline_impl(mode, Bound::Until(deadline), txn, held, true)
     }
 
     /// [`SemLock::lock_deadline`] with the watchdog participation made
@@ -599,18 +612,32 @@ impl SemLock {
     fn lock_deadline_impl(
         &self,
         mode: ModeId,
-        deadline: Instant,
+        bound: Bound,
         txn: TxnId,
         held: &[(u64, ModeId)],
         watchdog: bool,
     ) -> Result<(), LockError> {
         let tel = telemetry::enabled();
+        if !tel {
+            // The bound costs nothing unless the acquisition waits: a
+            // non-blocking admission (poison checked before and after, as
+            // on every path) returns before any clock read. Only a refusal
+            // falls through to the bounded wait below.
+            match self.try_lock_checked(mode) {
+                Err(LockError::Timeout { .. }) => {}
+                done => return done,
+            }
+        }
         let mut ctx = (txn, telemetry::SITE_NONE);
         // One clock read serves the entry event, the no-wait outcomes, and
         // the wait origin; blocked outcomes pay exactly one more read that
         // stamps the outcome event and supplies both the event's `wait_ns`
         // and the error's `waited`.
         let t0 = telemetry::now_ns();
+        let deadline = match bound {
+            Bound::Until(deadline) => deadline,
+            Bound::Within(timeout) => Instant::now() + timeout,
+        };
         if tel {
             // The caller's txn parameter is authoritative; only the pending
             // site comes from the thread-local context.
@@ -1078,6 +1105,140 @@ mod tests {
         );
         assert!(lock.timeout_count() >= 1);
         lock.unlock(m);
+        assert_eq!(lock.total_holds(), 0);
+    }
+
+    /// Every backend family, for the tests that pin bounded-acquire
+    /// behaviour the admission fast path must not change.
+    const BACKENDS: [AdmissionBackend; 4] = [
+        AdmissionBackend::Auto,
+        AdmissionBackend::Wide,
+        AdmissionBackend::ConflictGraph,
+        AdmissionBackend::OptimisticHybrid,
+    ];
+
+    #[test]
+    fn zero_timeout_admits_a_free_mode_and_refuses_a_held_one_without_parking() {
+        for backend in BACKENDS {
+            let (t, site) = table();
+            let lock = SemLock::with_backend(t.clone(), WaitStrategy::Block, backend);
+            let m = t.select(site, &[Value(3)]);
+            let zero = AcquireSpec::new(m).timeout(Duration::ZERO);
+            // Admission wins over an already-expired bound.
+            lock.acquire(&zero).unwrap();
+            // Held and self-conflicting: the same request is refused at
+            // once, with no waiter published or left behind.
+            let err = lock.acquire(&zero).unwrap_err();
+            assert!(matches!(err, LockError::Timeout { .. }), "{backend}: {err}");
+            assert_eq!(lock.timeout_count(), 1, "{backend}");
+            assert!(
+                lock.backends.iter().all(|b| !b.waiter_summary()),
+                "{backend}"
+            );
+            assert!(lock.backends.iter().all(|b| b.live_waiter_nodes() == 0));
+            lock.unlock(m);
+            assert_eq!(lock.total_holds(), 0, "{backend}");
+        }
+    }
+
+    #[test]
+    fn timeout_runs_from_the_start_of_the_wait() {
+        let (t, site) = table();
+        let lock = SemLock::new(t.clone());
+        let m = t.select(site, &[Value(3)]);
+        lock.lock(m);
+        // A spec is a description, not a started clock: built well before
+        // it is used, it still grants the whole bound, and `waited` is the
+        // time spent waiting — not the time since the spec was built.
+        let bound = Duration::from_millis(25);
+        let spec = AcquireSpec::new(m).timeout(bound);
+        std::thread::sleep(2 * bound);
+        let start = Instant::now();
+        let err = lock.acquire(&spec).unwrap_err();
+        let elapsed = start.elapsed();
+        let LockError::Timeout { waited, .. } = err else {
+            panic!("expected a timeout, got {err}");
+        };
+        assert!(waited >= bound, "waited {waited:?} of a {bound:?} bound");
+        assert!(
+            waited <= elapsed,
+            "waited {waited:?} exceeds the call's {elapsed:?}"
+        );
+        lock.unlock(m);
+    }
+
+    #[test]
+    fn bounded_acquire_counts_like_the_unbounded_one() {
+        // A fixed single-threaded script; the expected counts are the ones
+        // the pre-fast-path implementation produced for it.
+        for backend in BACKENDS {
+            let (t, site) = table();
+            let lock = SemLock::with_backend(t.clone(), WaitStrategy::Block, backend);
+            let m1 = t.select(site, &[Value(1)]);
+            let m2 = t.select(site, &[Value(2)]);
+            let bounded = |m| AcquireSpec::new(m).timeout(Duration::ZERO);
+            lock.acquire(&bounded(m1)).unwrap();
+            lock.unlock(m1);
+            lock.lock(m1);
+            assert!(lock.acquire(&bounded(m1)).is_err());
+            lock.acquire_as(&bounded(m2), 7, &[(lock.unique(), m1)])
+                .unwrap();
+            assert!(lock.acquire(&AcquireSpec::new(m1).no_wait()).is_err());
+            lock.unlock(m2);
+            lock.unlock(m1);
+            assert_eq!(lock.contention(), (3, 0), "{backend}");
+            assert_eq!(lock.timeout_count(), 1, "{backend}");
+            assert_eq!(lock.total_holds(), 0, "{backend}");
+        }
+    }
+
+    #[test]
+    fn poison_landing_during_admission_is_rolled_back() {
+        // One thread flips the poison flag as fast as it can while the
+        // other takes bounded acquisitions of a free mode. Whatever the
+        // interleaving, `Poisoned` must leave nothing held — including
+        // when the flag lands between the entry check and the admission,
+        // which shows as an admission the backend counted but the caller
+        // never got.
+        let (t, site) = table();
+        let lock = Arc::new(SemLock::new(t.clone()));
+        let m = t.select(site, &[Value(3)]);
+        let stop = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let flipper = {
+            let (lock, stop, gate) = (lock.clone(), stop.clone(), gate.clone());
+            std::thread::spawn(move || {
+                gate.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    lock.poison();
+                    lock.clear_poison();
+                }
+            })
+        };
+        gate.wait();
+        let spec = AcquireSpec::new(m).timeout(Duration::from_secs(5));
+        let start = Instant::now();
+        let mut admitted = 0u64;
+        let rolled_back = |admitted: u64| lock.contention().0 - admitted;
+        while rolled_back(admitted) == 0 && start.elapsed() < Duration::from_secs(10) {
+            for _ in 0..1000 {
+                match lock.acquire(&spec) {
+                    Ok(()) => {
+                        admitted += 1;
+                        lock.unlock(m);
+                    }
+                    Err(LockError::Poisoned { .. }) => {}
+                    Err(e) => panic!("unexpected {e}"),
+                }
+                assert_eq!(lock.hold_count(m), 0, "a refused acquisition kept its hold");
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        flipper.join().unwrap();
+        assert!(
+            rolled_back(admitted) > 0,
+            "the flag never landed mid-admission"
+        );
         assert_eq!(lock.total_holds(), 0);
     }
 

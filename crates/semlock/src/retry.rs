@@ -18,7 +18,7 @@
 //!   starvation-escalation threshold.
 //! * **Escalation** — after `escalate_after` aborts a transaction *ages*
 //!   into a high-priority pessimistic acquisition: an effectively
-//!   unbounded wait (`WaitBudget::Until(now + patience)`) that stays
+//!   unbounded wait (`WaitBudget::Within(patience)`) that stays
 //!   registered with the deadlock watchdog. A true `WaitBudget::Forever`
 //!   wait never registers (see [`crate::acquire`]), so escalation opts
 //!   into the watchdog by using a far deadline instead — the victim of
@@ -256,7 +256,7 @@ impl RetryPolicy {
     }
 
     /// The acquisition spec an escalated transaction uses: a high-priority
-    /// pessimistic wait — `WaitBudget::Until(now + patience)` with the
+    /// pessimistic wait — `WaitBudget::Within(patience)` with the
     /// watchdog armed. This is the module's "`Forever` with watchdog
     /// opt-in": a true `Forever` wait never registers with the watchdog
     /// (see [`crate::acquire`]), so escalation substitutes a deadline far
@@ -552,8 +552,8 @@ mod tests {
         let spec = p.escalated_spec(ModeId(2));
         assert!(spec.watchdog, "escalation must keep the watchdog armed");
         assert!(
-            matches!(spec.wait, crate::acquire::WaitBudget::Until(_)),
-            "escalation uses a far deadline, not a true Forever"
+            spec.wait == crate::acquire::WaitBudget::Within(Duration::from_secs(5)),
+            "escalation uses a far bound, not a true Forever"
         );
     }
 

@@ -115,10 +115,10 @@ impl<'a> Txn<'a> {
         match spec.wait {
             WaitBudget::Forever => adt.lock_checked(spec.mode)?,
             WaitBudget::DontWait => adt.try_lock_checked(spec.mode)?,
-            WaitBudget::Until(_) => {
+            WaitBudget::Until(_) | WaitBudget::Within(_) => {
                 // Uncontended fast path: admissible right now means no
-                // snapshot allocation, no deadline bookkeeping, no
-                // watchdog involvement.
+                // snapshot allocation, no clock read, no watchdog
+                // involvement.
                 if adt.try_lock_checked(spec.mode).is_err() {
                     // The fast path consumed the pending site; re-stamp it
                     // so the bounded acquisition's events carry the same

@@ -255,10 +255,7 @@ fn normalize_path(path: &[String]) -> Vec<String> {
             if held.insert(recv) {
                 out.push(e.clone());
             }
-        } else if let Some(inner) = e
-            .strip_prefix("group [")
-            .and_then(|s| s.strip_suffix(']'))
-        {
+        } else if let Some(inner) = e.strip_prefix("group [").and_then(|s| s.strip_suffix(']')) {
             for m in inner.split(',') {
                 if let Some(r) = m.split('#').next() {
                     held.insert(r.to_string());

@@ -85,14 +85,16 @@ impl TapeOptStats {
 /// never trades correctness for speed).
 pub fn optimize(tape: &Tape) -> (Tape, TapeOptStats) {
     let mut t = tape.clone();
-    let mut stats = TapeOptStats::default();
-    stats.fused = fuse_redundant(&mut t);
+    let fused = fuse_redundant(&mut t);
     compact_noops(&mut t);
-    let (batches, members) = batch_runs(&mut t);
-    stats.batches = batches;
-    stats.batch_members = members;
+    let (batches, batch_members) = batch_runs(&mut t);
     compact_noops(&mut t);
-    stats.hoisted = hoist_invariant(&mut t);
+    let stats = TapeOptStats {
+        fused,
+        batches,
+        batch_members,
+        hoisted: hoist_invariant(&mut t),
+    };
     if validate(&t).is_err() {
         return (tape.clone(), TapeOptStats::default());
     }
@@ -147,8 +149,8 @@ fn fuse_redundant(t: &mut Tape) -> u32 {
     // Receiver slots provably lock-targeted on every path reaching here.
     let mut seen: Vec<u16> = Vec::new();
     let mut fused = 0;
-    for pc in 0..t.ops.len() {
-        if targeted[pc] {
+    for (pc, &is_target) in targeted.iter().enumerate().take(t.ops.len()) {
+        if is_target {
             // Block boundary: a joining path may not have locked.
             seen.clear();
         }
@@ -229,10 +231,9 @@ fn block_repeatable(ops: &[LowOp], h: usize, jf: usize) -> bool {
     if !ops[h..jf].iter().all(is_pure_reg) {
         return false;
     }
-    let first_write =
-        |s: u16| (h..jf).find(|&i| written_slot(&ops[i]) == Some(s));
-    for i in h..jf {
-        for s in read_slots(&ops[i]).into_iter().flatten() {
+    let first_write = |s: u16| (h..jf).find(|&i| written_slot(&ops[i]) == Some(s));
+    for (i, op) in ops.iter().enumerate().take(jf).skip(h) {
+        for s in read_slots(op).into_iter().flatten() {
             if first_write(s).is_some_and(|w| w >= i) {
                 return false;
             }
@@ -297,9 +298,7 @@ fn hoist_one(t: &mut Tape) -> bool {
             continue;
         };
         let cond = match ops[jf] {
-            LowOp::JumpIfFalse { cond, off }
-                if (jf as i64 + 1 + off as i64) as usize == b + 1 =>
-            {
+            LowOp::JumpIfFalse { cond, off } if (jf as i64 + 1 + off as i64) as usize == b + 1 => {
                 cond
             }
             _ => continue,
@@ -325,10 +324,10 @@ fn hoist_one(t: &mut Tape) -> bool {
         // unwritten anywhere in the loop region (covers the condition
         // evaluation the hoisted op now precedes).
         let invariant = ops[h..=b].iter().all(|o| {
-            written_slot(o).map_or(true, |w| {
-                members
-                    .iter()
-                    .all(|&(recv, site)| recv != w && !t.sites[site as usize].key_slots.contains(&w))
+            written_slot(o).is_none_or(|w| {
+                members.iter().all(|&(recv, site)| {
+                    recv != w && !t.sites[site as usize].key_slots.contains(&w)
+                })
             })
         });
         if !invariant {

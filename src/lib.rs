@@ -70,7 +70,7 @@ pub use workloads;
 /// One-stop imports for the quickstart path.
 pub mod prelude {
     pub use adts;
-    pub use interp::{CompiledFrame, Engine, Env, Interp, Strategy};
+    pub use interp::{Engine, Env, Frame, Interp, Strategy};
     pub use semlock::prelude::*;
     pub use synth::ir::{e, ptr, scalar, AtomicSection, Body};
     pub use synth::{ClassRegistry, SynthOutput, Synthesizer};
