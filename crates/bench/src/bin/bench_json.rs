@@ -2,9 +2,7 @@
 //! micro-benchmark latencies (telemetry off vs on), the packed-vs-wide
 //! admission A/B, the Dwcas-vs-packed admission A/B, the contended
 //! park/handoff A/B (claim stack vs counters-under-mutex parking), the
-//! cross-backend admission table (one row per registered admission
-//! backend, filterable with `--backend`), the compiled-vs-tree-walk
-//! interpreter A/B, the tape-optimizer A/B (optimized vs raw compiled
+//! compiled-vs-tree-walk interpreter A/B, the tape-optimizer A/B (optimized vs raw compiled
 //! tape on an acquisition-heavy section; `--no-tape-opt` disables the
 //! optimizer and skips its gate), the open-loop server goodput/latency
 //! table, workload throughput sweeps, lock-contention counters, and
@@ -17,7 +15,6 @@
 //!     --against BENCH_PR5.json --against BENCH_PR7.json \
 //!     --against BENCH_PR8.json --against BENCH_PR9.json \
 //!     --against BENCH_PR10.json --tolerance 0.10
-//! cargo run --release --bin bench_json -- --backend conflict_graph --backend wide
 //! ```
 //!
 //! With `--against` (repeatable), the telemetry-off micro benches are
@@ -50,9 +47,6 @@ struct Config {
     against: Vec<String>,
     tolerance: f64,
     telemetry_workloads: bool,
-    /// Backends for the cross-backend table; empty means all of
-    /// [`AdmissionBackend::CONCRETE`].
-    backends: Vec<AdmissionBackend>,
     /// Escape hatch: run the compiled engine without the tape optimizer.
     /// Both sides of the optimizer A/B then run the raw tape and its
     /// gate is skipped — for bisecting whether a regression lives in the
@@ -60,23 +54,10 @@ struct Config {
     no_tape_opt: bool,
 }
 
-impl Config {
-    /// The backends the cross-backend table runs: the `--backend`
-    /// selection, or every concrete backend when no filter was given.
-    fn selected_backends(&self) -> Vec<AdmissionBackend> {
-        if self.backends.is_empty() {
-            AdmissionBackend::CONCRETE.to_vec()
-        } else {
-            self.backends.clone()
-        }
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: bench_json [--ops N] [--threads 1,2,4] [--out FILE] \
-         [--against FILE]... [--tolerance F] [--telemetry] [--backend NAME]... \
-         [--no-tape-opt]"
+         [--against FILE]... [--tolerance F] [--telemetry] [--no-tape-opt]"
     );
     std::process::exit(2);
 }
@@ -89,7 +70,6 @@ fn parse_args() -> Config {
         against: Vec::new(),
         tolerance: 0.10,
         telemetry_workloads: false,
-        backends: Vec::new(),
         no_tape_opt: false,
     };
     let mut args = std::env::args().skip(1);
@@ -115,16 +95,6 @@ fn parse_args() -> Config {
             "--tolerance" => cfg.tolerance = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--telemetry" => cfg.telemetry_workloads = true,
             "--no-tape-opt" => cfg.no_tape_opt = true,
-            "--backend" => {
-                let name = val(&mut args);
-                match AdmissionBackend::from_name(&name) {
-                    Some(AdmissionBackend::Auto) | None => {
-                        eprintln!("bench_json: unknown backend {name:?}");
-                        usage();
-                    }
-                    Some(b) => cfg.backends.push(b),
-                }
-            }
             _ => usage(),
         }
     }
@@ -624,14 +594,18 @@ fn handoff_pass(mech: &Arc<semlock::mech::Mech>, iters: u64) -> f64 {
 }
 
 fn run_handoff_ab(ops: u64) -> HandoffAb {
-    use semlock::mech::{Mech, MechLayout};
+    use semlock::mech::Mech;
     const ROUNDS: u32 = 8;
-    let claim = Arc::new(Mech::with_layout(
+    let claim = Arc::new(Mech::with_backend(
         1,
         WaitStrategy::Block,
-        MechLayout::Packed,
+        AdmissionBackend::Packed,
     ));
-    let mutex = Arc::new(Mech::with_layout(1, WaitStrategy::Block, MechLayout::Wide));
+    let mutex = Arc::new(Mech::with_backend(
+        1,
+        WaitStrategy::Block,
+        AdmissionBackend::Wide,
+    ));
     let iters = ops.clamp(1_000, 20_000);
     handoff_pass(&claim, iters);
     handoff_pass(&mutex, iters);
@@ -645,70 +619,6 @@ fn run_handoff_ab(ops: u64) -> HandoffAb {
         claim_ns,
         mutex_ns,
     }
-}
-
-/// One row of the cross-backend table: the uncontended admission micro
-/// and the ComputeIfAbsent workload throughput (at the highest requested
-/// thread count) for one admission backend.
-struct BackendRow {
-    backend: AdmissionBackend,
-    admit_ns: f64,
-    cia_ops_per_sec: f64,
-    cia_threads: usize,
-    acquisitions: u64,
-    contended: u64,
-}
-
-/// The cross-backend table: every selected backend driven through the
-/// identical uncontended `acquire`/`unlock` loop (min-of-N passes
-/// interleaved *across backends*, so frequency drift hits all rows
-/// alike) and the identical ComputeIfAbsent workload.
-fn run_backends(cfg: &Config) -> Vec<BackendRow> {
-    const ROUNDS: u32 = 8;
-    let (table, site) = cia_table(64);
-    let mode = table.select(site, &[Value(7)]);
-    let spec = AcquireSpec::new(mode);
-    let iters = cfg.ops.max(1000);
-    let backends = cfg.selected_backends();
-    let locks: Vec<SemLock> = backends
-        .iter()
-        .map(|&b| SemLock::with_backend(table.clone(), WaitStrategy::Block, b))
-        .collect();
-    let pass = |lock: &SemLock| {
-        one_pass_ns(iters, &mut || {
-            lock.acquire(&spec).expect("uncontended admission");
-            lock.unlock(mode);
-        })
-    };
-    // Warm every row once, then interleave the timed passes.
-    let mut admit_ns = vec![f64::INFINITY; locks.len()];
-    for lock in &locks {
-        pass(lock);
-    }
-    for _ in 0..ROUNDS {
-        for (ns, lock) in admit_ns.iter_mut().zip(&locks) {
-            *ns = (*ns).min(pass(lock));
-        }
-    }
-    let threads = cfg.threads.iter().copied().max().unwrap_or(1);
-    backends
-        .iter()
-        .zip(admit_ns)
-        .map(|(&backend, admit_ns)| {
-            let bench = ComputeIfAbsent::with_backend(SyncKind::Semantic, 8192, backend);
-            let m = measure(threads, cfg.ops, 1, 1, &|t, rng| bench.op(t, rng));
-            bench.validate().expect("ComputeIfAbsent invariant");
-            let (acquisitions, contended) = bench.contention();
-            BackendRow {
-                backend,
-                admit_ns,
-                cia_ops_per_sec: m.ops_per_sec,
-                cia_threads: threads,
-                acquisitions,
-                contended,
-            }
-        })
-        .collect()
 }
 
 /// Fixed seed for the server bench: the goodput table in the checked-in
@@ -958,7 +868,6 @@ fn render_json(
     admission: &AdmissionAb,
     dwcas: &DwcasAb,
     handoff: &HandoffAb,
-    backends: &[BackendRow],
     interp_ab: &InterpAb,
     opt_ab: &OptAb,
     server: &ServerReport,
@@ -1050,29 +959,6 @@ fn render_json(
         fmt_f(handoff.mutex_ns / cal),
         fmt_f(handoff.claim_ns / handoff.mutex_ns)
     );
-    // The cross-backend table: every admission backend through the
-    // identical uncontended micro (passes interleaved across rows) and
-    // the identical ComputeIfAbsent workload. The gate compares
-    // conflict_graph to wide on the micro (see `check_backends`), again
-    // on a same-process ratio rather than absolute latency.
-    out.push_str("  \"backends\": [\n");
-    for (i, row) in backends.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"backend\": \"{}\", \"admit_ns_per_op\": {}, \"admit_rel\": {}, \
-             \"cia_threads\": {}, \"cia_ops_per_sec\": {}, \
-             \"contention\": {{\"acquisitions\": {}, \"contended\": {}}}}}{}",
-            row.backend.name(),
-            fmt_f(row.admit_ns),
-            fmt_f(row.admit_ns / cal),
-            row.cia_threads,
-            fmt_f(row.cia_ops_per_sec),
-            row.acquisitions,
-            row.contended,
-            if i + 1 == backends.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ],\n");
     // Like the admission A/B, the interpreter A/B is gated on its ratio
     // (both engines measured back-to-back in the same process), so it is
     // immune to machine-speed drift across runs.
@@ -1340,59 +1226,6 @@ fn check_handoff(cfg: &Config, handoff: &HandoffAb) -> bool {
     }
 }
 
-/// How much slower than the wide (Fig. 20) admission the conflict-graph
-/// admission may be on the uncontended micro. Both take the internal
-/// mutex and scan a small conflict list, so they should land close; the
-/// headroom covers the indexed row lookup and the cache line the rows
-/// add. This gates the *floor*, not the ceiling: the conflict-graph
-/// backend is mutex-based and is never expected to beat Packed, so no
-/// upper bound against the lock-free rows is enforced.
-const CONFLICT_GRAPH_OVER_WIDE_LIMIT: f64 = 1.5;
-
-/// PR 9 acceptance: the conflict-graph backend stays within a sane band
-/// of the wide backend on uncontended admission (same-process
-/// interleaved rows, ratio gate with the regression tolerance as noise
-/// headroom). Skipped when a `--backend` filter dropped either row.
-fn check_backends(cfg: &Config, backends: &[BackendRow]) -> bool {
-    for row in backends {
-        eprintln!(
-            "bench_json: backend {}: admit {:.1} ns/op, cia x{} {:.0} ops/s \
-             ({} acquisitions, {} contended)",
-            row.backend.name(),
-            row.admit_ns,
-            row.cia_threads,
-            row.cia_ops_per_sec,
-            row.acquisitions,
-            row.contended
-        );
-    }
-    let find = |b: AdmissionBackend| backends.iter().find(|r| r.backend == b);
-    let (Some(graph), Some(wide)) = (
-        find(AdmissionBackend::ConflictGraph),
-        find(AdmissionBackend::Wide),
-    ) else {
-        eprintln!("bench_json: backends: conflict_graph/wide rows filtered out — gate skipped");
-        return true;
-    };
-    let ratio = graph.admit_ns / wide.admit_ns;
-    let limit = CONFLICT_GRAPH_OVER_WIDE_LIMIT * (1.0 + cfg.tolerance);
-    if ratio > limit {
-        eprintln!(
-            "bench_json: BACKEND REGRESSION: conflict_graph {:.1} ns vs wide {:.1} ns \
-             (ratio {ratio:.3} > {limit:.3})",
-            graph.admit_ns, wide.admit_ns
-        );
-        false
-    } else {
-        eprintln!(
-            "bench_json: backends: conflict_graph {:.1} ns vs wide {:.1} ns \
-             (ratio {ratio:.3} <= {limit:.3}) — ok",
-            graph.admit_ns, wide.admit_ns
-        );
-        true
-    }
-}
-
 /// Pull `(goodput_per_sec, p99_us)` out of a baseline's `"server"` line,
 /// if it has one (PR 3–5 baselines don't; only PR 7+ files gate here).
 fn parse_baseline_server(text: &str) -> Option<(f64, u64)> {
@@ -1546,7 +1379,6 @@ fn main() {
     let admission = run_admission_ab(cfg.ops);
     let dwcas = run_dwcas_ab(cfg.ops);
     let handoff = run_handoff_ab(cfg.ops);
-    let backends = run_backends(&cfg);
     let interp_ab = run_interp_ab(cfg.ops);
     let opt_ab = run_opt_ab(cfg.ops, cfg.no_tape_opt);
     let server = run_server_bench(cfg.ops);
@@ -1557,8 +1389,7 @@ fn main() {
     );
     let workloads = run_workloads(&cfg);
     let json = render_json(
-        cal, &micros, &admission, &dwcas, &handoff, &backends, &interp_ab, &opt_ab, &server,
-        &workloads, &cfg,
+        cal, &micros, &admission, &dwcas, &handoff, &interp_ab, &opt_ab, &server, &workloads, &cfg,
     );
     match &cfg.out {
         Some(path) => {
@@ -1571,7 +1402,6 @@ fn main() {
     let ok = check_admission(&cfg, &admission)
         & check_dwcas(&cfg, &dwcas)
         & check_handoff(&cfg, &handoff)
-        & check_backends(&cfg, &backends)
         & check_interp(&cfg, &interp_ab)
         & check_opt(&cfg, &opt_ab)
         & check_server(&cfg, &server)

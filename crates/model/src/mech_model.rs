@@ -1,17 +1,24 @@
 //! The `Mech` admission protocol instantiated over the model shims.
 //!
-//! [`PackedMech`], [`DwcasMech`] and [`WideMech`] are line-for-line
-//! transcriptions of the blocking-strategy paths of
-//! `semlock::mech::Mech` (packed one-word and Dwcas double-word
-//! admission with the claim-based waiter-stack handoff; wide per-mode
-//! counters with the registered-waiter store-buffering protocol),
-//! written against [`crate::sync`] instead of `semlock::sync`. The field
-//! math (`field_shift`/`field_of`/`dwcas_field_of`, `FIELD_MAX`,
-//! `WAITERS_BIT`, `DWCAS_WAITERS_BIT`) is imported from `semlock`
-//! itself, and every memory ordering comes from an [`OrderingProfile`]
-//! whose default is built from the named constants in
-//! `semlock::mech::ordering` — so the protocol being checked is the
-//! protocol that ships, not a copy that can drift.
+//! [`WordMech`] and [`WideMech`] are line-for-line transcriptions of the
+//! blocking-strategy paths of `semlock::mech::Mech` (admit try → bounded
+//! probes → park: one-word admission with the claim-based waiter-stack
+//! handoff, written once over the word's width exactly as the runtime
+//! writes it — [`PackedMech`] is the 64-bit instance, [`DwcasMech`] the
+//! 128-bit one; wide per-mode counters with the registered-waiter
+//! store-buffering protocol), written against [`crate::sync`] instead of
+//! `semlock::sync`. The field math (`WordInt`, `field_shift`, `field_of`,
+//! `waiters_bit`, `FIELD_MAX`) is imported from `semlock` itself, and
+//! every memory ordering comes from an [`OrderingProfile`] whose default
+//! is built from the named constants in `semlock::mech::ordering` — so
+//! the protocol being checked is the protocol that ships, not a copy that
+//! can drift.
+//!
+//! The probe budget is a constructor parameter: the runtime makes
+//! `semlock::mech::OPTIMISTIC_PROBES` = 32 further tries before parking,
+//! but a probe is one more `try_admit` from the same state, so a longer
+//! loop only multiplies identical states; the scenarios run with 1 (and
+//! with 0 where the probe phase is not what they examine).
 //!
 //! [`ModelStack`] transcribes `semlock::stack::WaiterStack` over a
 //! fixed node pool: the head word packs `tag << 16 | (idx + 1)` (0 =
@@ -29,40 +36,25 @@
 //! find a counterexample for every entry.
 
 use crate::sync::{AtomicU128, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
-use semlock::mech::{
-    dwcas_field_of, field_of, field_shift, ordering as ord, DWCAS_WAITERS_BIT, FIELD_MAX,
-    WAITERS_BIT,
-};
+use semlock::mech::{field_of, field_shift, ordering as ord, waiters_bit, WordInt, FIELD_MAX};
 use std::sync::Arc;
 
 /// Every audited memory ordering of the admission protocol, one field
 /// per `ORDERING_AUDIT` site.
 #[derive(Clone, Copy, Debug)]
 pub struct OrderingProfile {
-    /// `packed.admit.load`
-    pub packed_admit_load: Ordering,
-    /// `packed.admit.cas_ok`
-    pub packed_admit_cas_ok: Ordering,
-    /// `packed.admit.cas_fail`
-    pub packed_admit_cas_fail: Ordering,
-    /// `packed.release.load`
-    pub packed_release_load: Ordering,
-    /// `packed.release.cas_ok`
-    pub packed_release_cas_ok: Ordering,
-    /// `packed.release.cas_fail`
-    pub packed_release_cas_fail: Ordering,
-    /// `dwcas.admit.load`
-    pub dwcas_admit_load: Ordering,
-    /// `dwcas.admit.cas_ok`
-    pub dwcas_admit_cas_ok: Ordering,
-    /// `dwcas.admit.cas_fail`
-    pub dwcas_admit_cas_fail: Ordering,
-    /// `dwcas.release.load`
-    pub dwcas_release_load: Ordering,
-    /// `dwcas.release.cas_ok`
-    pub dwcas_release_cas_ok: Ordering,
-    /// `dwcas.release.cas_fail`
-    pub dwcas_release_cas_fail: Ordering,
+    /// `word.admit.load`
+    pub word_admit_load: Ordering,
+    /// `word.admit.cas_ok`
+    pub word_admit_cas_ok: Ordering,
+    /// `word.admit.cas_fail`
+    pub word_admit_cas_fail: Ordering,
+    /// `word.release.load`
+    pub word_release_load: Ordering,
+    /// `word.release.cas_ok`
+    pub word_release_cas_ok: Ordering,
+    /// `word.release.cas_fail`
+    pub word_release_cas_fail: Ordering,
     /// `stack.push.head_load`
     pub stack_push_head_load: Ordering,
     /// `stack.push.next_store`
@@ -100,18 +92,12 @@ impl Default for OrderingProfile {
     /// `semlock::mech::ordering` constant.
     fn default() -> OrderingProfile {
         OrderingProfile {
-            packed_admit_load: ord::PACKED_ADMIT_LOAD,
-            packed_admit_cas_ok: ord::PACKED_ADMIT_CAS_OK,
-            packed_admit_cas_fail: ord::PACKED_ADMIT_CAS_FAIL,
-            packed_release_load: ord::PACKED_RELEASE_LOAD,
-            packed_release_cas_ok: ord::PACKED_RELEASE_CAS_OK,
-            packed_release_cas_fail: ord::PACKED_RELEASE_CAS_FAIL,
-            dwcas_admit_load: ord::DWCAS_ADMIT_LOAD,
-            dwcas_admit_cas_ok: ord::DWCAS_ADMIT_CAS_OK,
-            dwcas_admit_cas_fail: ord::DWCAS_ADMIT_CAS_FAIL,
-            dwcas_release_load: ord::DWCAS_RELEASE_LOAD,
-            dwcas_release_cas_ok: ord::DWCAS_RELEASE_CAS_OK,
-            dwcas_release_cas_fail: ord::DWCAS_RELEASE_CAS_FAIL,
+            word_admit_load: ord::WORD_ADMIT_LOAD,
+            word_admit_cas_ok: ord::WORD_ADMIT_CAS_OK,
+            word_admit_cas_fail: ord::WORD_ADMIT_CAS_FAIL,
+            word_release_load: ord::WORD_RELEASE_LOAD,
+            word_release_cas_ok: ord::WORD_RELEASE_CAS_OK,
+            word_release_cas_fail: ord::WORD_RELEASE_CAS_FAIL,
             stack_push_head_load: ord::STACK_PUSH_HEAD_LOAD,
             stack_next_store: ord::STACK_NEXT_STORE,
             stack_push_cas_ok: ord::STACK_PUSH_CAS_OK,
@@ -138,18 +124,12 @@ impl OrderingProfile {
     /// silently turn a mutant test into a no-op.
     pub fn with_site(mut self, site: &str, o: Ordering) -> OrderingProfile {
         match site {
-            "packed.admit.load" => self.packed_admit_load = o,
-            "packed.admit.cas_ok" => self.packed_admit_cas_ok = o,
-            "packed.admit.cas_fail" => self.packed_admit_cas_fail = o,
-            "packed.release.load" => self.packed_release_load = o,
-            "packed.release.cas_ok" => self.packed_release_cas_ok = o,
-            "packed.release.cas_fail" => self.packed_release_cas_fail = o,
-            "dwcas.admit.load" => self.dwcas_admit_load = o,
-            "dwcas.admit.cas_ok" => self.dwcas_admit_cas_ok = o,
-            "dwcas.admit.cas_fail" => self.dwcas_admit_cas_fail = o,
-            "dwcas.release.load" => self.dwcas_release_load = o,
-            "dwcas.release.cas_ok" => self.dwcas_release_cas_ok = o,
-            "dwcas.release.cas_fail" => self.dwcas_release_cas_fail = o,
+            "word.admit.load" => self.word_admit_load = o,
+            "word.admit.cas_ok" => self.word_admit_cas_ok = o,
+            "word.admit.cas_fail" => self.word_admit_cas_fail = o,
+            "word.release.load" => self.word_release_load = o,
+            "word.release.cas_ok" => self.word_release_cas_ok = o,
+            "word.release.cas_fail" => self.word_release_cas_fail = o,
             "stack.push.head_load" => self.stack_push_head_load = o,
             "stack.push.next_store" => self.stack_next_store = o,
             "stack.push.cas_ok" => self.stack_push_cas_ok = o,
@@ -246,6 +226,12 @@ impl ModelStack {
         idx
     }
 
+    /// Pool nodes handed out so far (post-join asserts: zero means no
+    /// acquisition ever reached the park path).
+    pub fn allocated(&self) -> u32 {
+        self.next_free.load(Ordering::Relaxed)
+    }
+
     /// `OwnedNode::prepare`: reset to waiting before a (re-)push.
     pub fn prepare(&self, idx: usize) {
         *self.nodes[idx].state.lock() = WAITING;
@@ -326,39 +312,123 @@ impl ModelStack {
     }
 }
 
-/// The packed (one-word) blocking mechanism over the model shims.
-pub struct PackedMech {
-    word: AtomicU64,
+/// A model admission word: the four primitives of the runtime's private
+/// `AdmitWord` trait, over a shim atomic.
+pub trait ModelWord {
+    /// The integer the word holds (`u64` packed, `u128` Dwcas).
+    type Int: WordInt;
+    /// A fresh word holding zero.
+    fn zeroed() -> Self;
+    /// Model load.
+    fn load(&self, order: Ordering) -> Self::Int;
+    /// Model weak compare-exchange.
+    fn compare_exchange_weak(
+        &self,
+        current: Self::Int,
+        new: Self::Int,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<Self::Int, Self::Int>;
+    /// Model `fetch_or`.
+    fn fetch_or(&self, bits: Self::Int, order: Ordering) -> Self::Int;
+    /// Model `fetch_and`.
+    fn fetch_and(&self, bits: Self::Int, order: Ordering) -> Self::Int;
+}
+
+macro_rules! model_word {
+    ($atomic:ty, $int:ty) => {
+        impl ModelWord for $atomic {
+            type Int = $int;
+            fn zeroed() -> $atomic {
+                <$atomic>::new(0)
+            }
+            fn load(&self, order: Ordering) -> $int {
+                <$atomic>::load(self, order)
+            }
+            fn compare_exchange_weak(
+                &self,
+                current: $int,
+                new: $int,
+                success: Ordering,
+                failure: Ordering,
+            ) -> Result<$int, $int> {
+                <$atomic>::compare_exchange_weak(self, current, new, success, failure)
+            }
+            fn fetch_or(&self, bits: $int, order: Ordering) -> $int {
+                <$atomic>::fetch_or(self, bits, order)
+            }
+            fn fetch_and(&self, bits: $int, order: Ordering) -> $int {
+                <$atomic>::fetch_and(self, bits, order)
+            }
+        }
+    };
+}
+
+model_word!(AtomicU64, u64);
+model_word!(AtomicU128, u128);
+
+/// How a blocking acquisition was admitted.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Admitted {
+    /// By the first attempt.
+    AtOnce,
+    /// By a re-try of the probe phase: nothing was published.
+    Probing,
+    /// Through the park path (a waiter was published; it may have
+    /// self-admitted before actually sleeping).
+    Parked,
+}
+
+/// The one-word blocking mechanism over the model shims, generic over
+/// the word's width like the runtime's.
+pub struct WordMech<W: ModelWord> {
+    word: W,
     stack: ModelStack,
+    probes: u32,
     profile: OrderingProfile,
 }
 
-impl PackedMech {
-    /// A fresh mechanism (all counts zero). Must be called on a model
+/// The packed (64-bit word) instance.
+pub type PackedMech = WordMech<AtomicU64>;
+
+/// The Dwcas (128-bit word) instance.
+pub type DwcasMech = WordMech<AtomicU128>;
+
+impl<W: ModelWord> WordMech<W> {
+    /// A fresh mechanism (all counts zero) whose refused acquisitions
+    /// re-try `probes` times before parking. Must be called on a model
     /// thread (inside `Checker::check`).
-    pub fn new(profile: OrderingProfile) -> Arc<PackedMech> {
-        Arc::new(PackedMech {
-            word: AtomicU64::new(0),
+    pub fn new(profile: OrderingProfile, probes: u32) -> Arc<WordMech<W>> {
+        Arc::new(WordMech {
+            word: W::zeroed(),
             stack: ModelStack::new(16, profile),
+            probes,
             profile,
         })
     }
 
-    /// `AdmitWord::try_admit` for the packed word, orderings from the
-    /// profile. Public so the batched group probe ([`group_probe`]) can
-    /// drive the same single-CAS admission the runtime fast pass uses.
-    pub fn try_admit(&self, local: u32, mask: u64) -> bool {
-        let one = 1u64 << field_shift(local);
-        let mut cur = self.word.load(self.profile.packed_admit_load);
+    /// `AdmitWord::refuses`.
+    fn refuses(cur: W::Int, local: u32, mask: u128) -> bool {
+        cur & W::Int::truncate(mask) != W::Int::ZERO || field_of(cur, local) == FIELD_MAX
+    }
+
+    /// `AdmitWord::try_admit`, orderings from the profile. Public so the
+    /// batched group probe ([`group_probe`]) can drive the same single-CAS
+    /// admission the runtime fast pass uses. `mask` is
+    /// `semlock::mech::conflict_mask` of the mode's conflicts, at the
+    /// 128-bit width as `ConflictSet` carries it.
+    pub fn try_admit(&self, local: u32, mask: u128) -> bool {
+        let one = W::Int::ONE << field_shift(local);
+        let mut cur = self.word.load(self.profile.word_admit_load);
         loop {
-            if cur & mask != 0 || field_of(cur, local) == FIELD_MAX {
+            if Self::refuses(cur, local, mask) {
                 return false;
             }
             match self.word.compare_exchange_weak(
                 cur,
                 cur + one,
-                self.profile.packed_admit_cas_ok,
-                self.profile.packed_admit_cas_fail,
+                self.profile.word_admit_cas_ok,
+                self.profile.word_admit_cas_fail,
             ) {
                 Ok(_) => return true,
                 Err(actual) => cur = actual,
@@ -366,11 +436,17 @@ impl PackedMech {
         }
     }
 
-    /// `Mech::lock`, packed blocking arm: CAS fast path, then the
-    /// claim-stack episode loop of `Mech::lock_stack_slow`.
-    pub fn lock(&self, local: u32, mask: u64) {
+    /// `Mech::lock`, word blocking arm: first attempt, the probe phase of
+    /// `Mech::lock_slow`, then the claim-stack episode loop of
+    /// `Mech::park_stack`.
+    pub fn lock(&self, local: u32, mask: u128) -> Admitted {
         if self.try_admit(local, mask) {
-            return;
+            return Admitted::AtOnce;
+        }
+        for _ in 0..self.probes {
+            if self.try_admit(local, mask) {
+                return Admitted::Probing;
+            }
         }
         let node = self.stack.alloc();
         loop {
@@ -380,13 +456,13 @@ impl PackedMech {
             // from the word the fetch_or returned.
             let ret = self
                 .word
-                .fetch_or(WAITERS_BIT, self.profile.stack_summary_fetch_or);
-            if ret & mask == 0 && field_of(ret, local) != FIELD_MAX && self.try_admit(local, mask) {
-                return;
+                .fetch_or(waiters_bit(), self.profile.stack_summary_fetch_or);
+            if !Self::refuses(ret, local, mask) && self.try_admit(local, mask) {
+                return Admitted::Parked;
             }
             self.stack.park(node);
             if self.try_admit(local, mask) {
-                return;
+                return Admitted::Parked;
             }
         }
     }
@@ -396,34 +472,43 @@ impl PackedMech {
     /// the clear re-sets it with nothing left to erase it.
     fn handoff(&self) {
         self.word
-            .fetch_and(!WAITERS_BIT, self.profile.stack_summary_clear);
+            .fetch_and(!waiters_bit::<W::Int>(), self.profile.stack_summary_clear);
         let chain = self.stack.claim();
         self.stack.wake_chain(chain);
     }
 
-    /// `Mech::release_stack`: CAS-decrement, refuse underflow, hand off
-    /// when the pre-decrement word carried `WAITERS_BIT`.
-    pub fn unlock(&self, local: u32) -> bool {
-        let one = 1u64 << field_shift(local);
-        let mut cur = self.word.load(self.profile.packed_release_load);
+    /// `AdmitWord::release_decrement`: the checked CAS-decrement;
+    /// `Some(had_waiters)` or `None` on a refused underflow.
+    fn release_decrement(&self, local: u32) -> Option<bool> {
+        let one = W::Int::ONE << field_shift(local);
+        let mut cur = self.word.load(self.profile.word_release_load);
         loop {
             if field_of(cur, local) == 0 {
-                return false;
+                return None;
             }
             match self.word.compare_exchange_weak(
                 cur,
                 cur - one,
-                self.profile.packed_release_cas_ok,
-                self.profile.packed_release_cas_fail,
+                self.profile.word_release_cas_ok,
+                self.profile.word_release_cas_fail,
             ) {
-                Ok(prev) => {
-                    if prev & WAITERS_BIT != 0 {
-                        self.handoff();
-                    }
-                    return true;
-                }
+                Ok(prev) => return Some(prev & waiters_bit() != W::Int::ZERO),
                 Err(actual) => cur = actual,
             }
+        }
+    }
+
+    /// `Mech::release_stack`: CAS-decrement, refuse underflow, hand off
+    /// when the pre-decrement word carried the summary bit.
+    pub fn unlock(&self, local: u32) -> bool {
+        match self.release_decrement(local) {
+            Some(had_waiters) => {
+                if had_waiters {
+                    self.handoff();
+                }
+                true
+            }
+            None => false,
         }
     }
 
@@ -432,16 +517,16 @@ impl PackedMech {
     /// conflict masks is checked and every increment applied in a single
     /// CAS — a refused group leaves the word untouched, which is the
     /// all-or-nothing property the scenarios pin.
-    pub fn try_admit_group(&self, members: &[(u32, u64)]) -> bool {
-        let mut mask = 0u64;
-        let mut add = 0u64;
+    pub fn try_admit_group(&self, members: &[(u32, u128)]) -> bool {
+        let mut mask = W::Int::ZERO;
+        let mut add = W::Int::ZERO;
         for &(local, m) in members {
-            mask |= m;
-            add += 1u64 << field_shift(local);
+            mask = mask | W::Int::truncate(m);
+            add = add + (W::Int::ONE << field_shift(local));
         }
-        let mut cur = self.word.load(self.profile.packed_admit_load);
+        let mut cur = self.word.load(self.profile.word_admit_load);
         loop {
-            if cur & mask != 0 {
+            if cur & mask != W::Int::ZERO {
                 return false;
             }
             for &(local, _) in members {
@@ -453,8 +538,8 @@ impl PackedMech {
             match self.word.compare_exchange_weak(
                 cur,
                 cur + add,
-                self.profile.packed_admit_cas_ok,
-                self.profile.packed_admit_cas_fail,
+                self.profile.word_admit_cas_ok,
+                self.profile.word_admit_cas_fail,
             ) {
                 Ok(_) => return true,
                 Err(actual) => cur = actual,
@@ -465,28 +550,18 @@ impl PackedMech {
     /// The [`GroupRollback::SkipHandoff`] mutant body: the checked
     /// CAS-decrement of `unlock` without the waiter handoff.
     pub fn unlock_no_handoff(&self, local: u32) -> bool {
-        let one = 1u64 << field_shift(local);
-        let mut cur = self.word.load(self.profile.packed_release_load);
-        loop {
-            if field_of(cur, local) == 0 {
-                return false;
-            }
-            match self.word.compare_exchange_weak(
-                cur,
-                cur - one,
-                self.profile.packed_release_cas_ok,
-                self.profile.packed_release_cas_fail,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
+        self.release_decrement(local).is_some()
     }
 
-    /// Latest packed word (harness asserts after all threads joined, when
-    /// the joiner's view pins the latest store).
-    pub fn word(&self) -> u64 {
+    /// Latest word (harness asserts after all threads joined, when the
+    /// joiner's view pins the latest store).
+    pub fn word(&self) -> W::Int {
         self.word.load(Ordering::Relaxed)
+    }
+
+    /// Waiter nodes ever allocated (post-join asserts).
+    pub fn nodes_allocated(&self) -> u32 {
+        self.stack.allocated()
     }
 }
 
@@ -517,7 +592,7 @@ pub enum GroupRollback {
 /// group was admitted. (On refusal the runtime escalates to sequential
 /// blocking acquisition; the scenarios drive that separately so the
 /// rollback window itself stays small enough to check exhaustively.)
-pub fn group_probe(members: &[(Arc<PackedMech>, u32, u64)], rollback: GroupRollback) -> bool {
+pub fn group_probe(members: &[(Arc<PackedMech>, u32, u128)], rollback: GroupRollback) -> bool {
     let mut passed = 0;
     while passed < members.len() {
         let (m, local, mask) = &members[passed];
@@ -544,127 +619,27 @@ pub fn group_probe(members: &[(Arc<PackedMech>, u32, u64)], rollback: GroupRollb
     false
 }
 
-/// The Dwcas (double-word) blocking mechanism over the model shims:
-/// identical protocol shape to [`PackedMech`], 128-bit admission word.
-pub struct DwcasMech {
-    word: AtomicU128,
-    stack: ModelStack,
-    profile: OrderingProfile,
-}
-
-impl DwcasMech {
-    /// A fresh mechanism (all counts zero). Must be called on a model
-    /// thread.
-    pub fn new(profile: OrderingProfile) -> Arc<DwcasMech> {
-        Arc::new(DwcasMech {
-            word: AtomicU128::new(0),
-            stack: ModelStack::new(16, profile),
-            profile,
-        })
-    }
-
-    /// `AdmitWord::try_admit` for the Dwcas word.
-    fn try_admit(&self, local: u32, mask: u128) -> bool {
-        let one = 1u128 << field_shift(local);
-        let mut cur = self.word.load(self.profile.dwcas_admit_load);
-        loop {
-            if cur & mask != 0 || dwcas_field_of(cur, local) == FIELD_MAX as u128 {
-                return false;
-            }
-            match self.word.compare_exchange_weak(
-                cur,
-                cur + one,
-                self.profile.dwcas_admit_cas_ok,
-                self.profile.dwcas_admit_cas_fail,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// `Mech::lock`, Dwcas blocking arm.
-    pub fn lock(&self, local: u32, mask: u128) {
-        if self.try_admit(local, mask) {
-            return;
-        }
-        let node = self.stack.alloc();
-        loop {
-            self.stack.prepare(node);
-            self.stack.push(node);
-            let ret = self
-                .word
-                .fetch_or(DWCAS_WAITERS_BIT, self.profile.stack_summary_fetch_or);
-            if ret & mask == 0
-                && dwcas_field_of(ret, local) != FIELD_MAX as u128
-                && self.try_admit(local, mask)
-            {
-                return;
-            }
-            self.stack.park(node);
-            if self.try_admit(local, mask) {
-                return;
-            }
-        }
-    }
-
-    /// `Mech::handoff` over the Dwcas word: clear → claim → wake.
-    fn handoff(&self) {
-        self.word
-            .fetch_and(!DWCAS_WAITERS_BIT, self.profile.stack_summary_clear);
-        let chain = self.stack.claim();
-        self.stack.wake_chain(chain);
-    }
-
-    /// `Mech::release_stack` over the Dwcas word.
-    pub fn unlock(&self, local: u32) -> bool {
-        let one = 1u128 << field_shift(local);
-        let mut cur = self.word.load(self.profile.dwcas_release_load);
-        loop {
-            if dwcas_field_of(cur, local) == 0 {
-                return false;
-            }
-            match self.word.compare_exchange_weak(
-                cur,
-                cur - one,
-                self.profile.dwcas_release_cas_ok,
-                self.profile.dwcas_release_cas_fail,
-            ) {
-                Ok(prev) => {
-                    if prev & DWCAS_WAITERS_BIT != 0 {
-                        self.handoff();
-                    }
-                    return true;
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Latest Dwcas word (post-join asserts).
-    pub fn word(&self) -> u128 {
-        self.word.load(Ordering::Relaxed)
-    }
-}
-
 /// The wide (per-mode counters) blocking mechanism over the model shims.
 pub struct WideMech {
     counts: Vec<AtomicU32>,
     internal: Mutex<()>,
     cond: Condvar,
     waiters: AtomicU32,
+    probes: u32,
     profile: OrderingProfile,
 }
 
 impl WideMech {
-    /// A fresh mechanism with `modes` counters. Must be called on a model
+    /// A fresh mechanism with `modes` counters whose refused acquisitions
+    /// re-try `probes` times before parking. Must be called on a model
     /// thread.
-    pub fn new(modes: usize, profile: OrderingProfile) -> Arc<WideMech> {
+    pub fn new(modes: usize, profile: OrderingProfile, probes: u32) -> Arc<WideMech> {
         Arc::new(WideMech {
             counts: (0..modes).map(|_| AtomicU32::new(0)).collect(),
             internal: Mutex::new(()),
             cond: Condvar::new(),
             waiters: AtomicU32::new(0),
+            probes,
             profile,
         })
     }
@@ -676,8 +651,29 @@ impl WideMech {
             .any(|&c| self.counts[c as usize].load(self.profile.wide_conflict_load) > 0)
     }
 
-    /// `Mech::lock`, wide blocking arm: register as waiter, check, park.
-    pub fn lock(&self, local: u32, conflicts: &[u32]) {
+    /// `Mech::try_admit_wide`: check-then-increment under the internal
+    /// mutex, no waiter registration.
+    pub fn try_admit(&self, local: u32, conflicts: &[u32]) -> bool {
+        let _guard = self.internal.lock();
+        if self.conflicted(conflicts) {
+            return false;
+        }
+        self.counts[local as usize].fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// `Mech::lock`, wide blocking arm: first attempt, the probe phase of
+    /// `Mech::lock_slow`, then `Mech::park_wide` (register as waiter,
+    /// check, park).
+    pub fn lock(&self, local: u32, conflicts: &[u32]) -> Admitted {
+        if self.try_admit(local, conflicts) {
+            return Admitted::AtOnce;
+        }
+        for _ in 0..self.probes {
+            if self.try_admit(local, conflicts) {
+                return Admitted::Probing;
+            }
+        }
         let mut guard = self.internal.lock();
         loop {
             self.waiters.fetch_add(1, self.profile.wide_waiter_rmw);
@@ -690,94 +686,16 @@ impl WideMech {
         }
         self.counts[local as usize].fetch_add(1, Ordering::Relaxed);
         drop(guard);
+        Admitted::Parked
     }
 
-    /// `Mech::unlock`, wide arm: checked CAS decrement, then the
-    /// decrement-then-read-waiters half of the store-buffering pair.
-    pub fn unlock(&self, local: u32) -> bool {
-        let c = &self.counts[local as usize];
-        let mut cur = c.load(Ordering::Relaxed);
-        loop {
-            if cur == 0 {
-                return false;
-            }
-            match c.compare_exchange_weak(
-                cur,
-                cur - 1,
-                self.profile.wide_release_rmw,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-        if self.waiters.load(self.profile.wide_waiters_load) > 0 {
-            let _g = self.internal.lock();
-            self.cond.notify_all();
-        }
-        true
+    /// Is a waiter registered right now? (`Mech::waiter_summary`, wide
+    /// arm; post-join asserts.)
+    pub fn waiters(&self) -> u32 {
+        self.waiters.load(Ordering::Relaxed)
     }
 
-    /// Latest count of one mode (post-join asserts).
-    pub fn count(&self, local: u32) -> u32 {
-        self.counts[local as usize].load(Ordering::Relaxed)
-    }
-}
-
-/// The conflict-graph admission backend
-/// (`semlock::admission::ConflictGraphBackend`) over the model shims.
-/// The protocol is the wide blocking protocol verbatim — it reuses the
-/// `wide.*` ordering sites — with one difference mirroring the runtime
-/// backend: the conflict check walks the precomputed adjacency row for
-/// `local` instead of a caller-supplied conflict set.
-pub struct GraphMech {
-    counts: Vec<AtomicU32>,
-    rows: Vec<Vec<u32>>,
-    internal: Mutex<()>,
-    cond: Condvar,
-    waiters: AtomicU32,
-    profile: OrderingProfile,
-}
-
-impl GraphMech {
-    /// A fresh mechanism over symmetric adjacency `rows` (one row of
-    /// conflicting locals per mode). Must be called on a model thread.
-    pub fn new(rows: Vec<Vec<u32>>, profile: OrderingProfile) -> Arc<GraphMech> {
-        Arc::new(GraphMech {
-            counts: (0..rows.len()).map(|_| AtomicU32::new(0)).collect(),
-            rows,
-            internal: Mutex::new(()),
-            cond: Condvar::new(),
-            waiters: AtomicU32::new(0),
-            profile,
-        })
-    }
-
-    /// `ConflictGraphBackend::conflicted`, ordering from the profile.
-    fn conflicted(&self, local: u32) -> bool {
-        self.rows[local as usize]
-            .iter()
-            .any(|&c| self.counts[c as usize].load(self.profile.wide_conflict_load) > 0)
-    }
-
-    /// `ConflictGraphBackend::lock`, blocking arm: register as waiter,
-    /// check the adjacency row, park.
-    pub fn lock(&self, local: u32) {
-        let mut guard = self.internal.lock();
-        loop {
-            self.waiters.fetch_add(1, self.profile.wide_waiter_rmw);
-            if !self.conflicted(local) {
-                self.waiters.fetch_sub(1, self.profile.wide_waiter_rmw);
-                break;
-            }
-            self.cond.wait(&mut guard);
-            self.waiters.fetch_sub(1, self.profile.wide_waiter_rmw);
-        }
-        self.counts[local as usize].fetch_add(1, Ordering::Relaxed);
-        drop(guard);
-    }
-
-    /// `ConflictGraphBackend::unlock`: checked CAS decrement, then the
+    /// `Mech::release_wide`: checked CAS decrement, then the
     /// decrement-then-read-waiters half of the store-buffering pair.
     pub fn unlock(&self, local: u32) -> bool {
         let c = &self.counts[local as usize];

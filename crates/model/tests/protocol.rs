@@ -9,12 +9,27 @@
 //! same scenarios. CI fails if any mutant survives.
 
 use model::mech_model::{
-    group_probe, DwcasMech, GraphMech, GroupRollback, OrderingProfile, PackedMech, WideMech,
+    group_probe, Admitted, DwcasMech, GroupRollback, OrderingProfile, PackedMech, WideMech,
 };
 use model::sync::{thread, AtomicU64, Ordering};
 use model::{Checker, Stats, Violation, ViolationKind};
-use semlock::mech::{dwcas_conflict_mask, field_of, packed_conflict_mask};
+use semlock::mech::{conflict_mask, field_of};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+
+/// Probe budget of every scenario's mechanisms: one re-try between the
+/// refused first attempt and the park path. The runtime's 32 only repeat
+/// the same step from the same states.
+const PROBES: u32 = 1;
+
+/// Probe budget of the two scenarios about the waiter *stack*
+/// (`stack_two_waiter_scenario`, `stack_window_pusher_scenario`). Their
+/// subject is what happens once two waiters are on the park path; a
+/// re-try on the way there is one more `try_admit` from states the
+/// first attempt already reaches, and at their preemption bound of 2 it
+/// doubles a two-minute exploration. The probe phase itself is covered by
+/// every other scenario.
+const STACK_PROBES: u32 = 0;
 
 /// Preemption bound for the 3-thread scenarios. The default of 1 keeps
 /// the everyday `cargo test` run fast; the CI `model-check` job sets
@@ -133,7 +148,7 @@ fn litmus_store_buffering_relaxed_observes_both_zero() {
 /// update), release refusal of double unlock, and count balance.
 fn packed_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = PackedMech::new(profile);
+        let mech = PackedMech::new(profile, PROBES);
         let data = Arc::new(AtomicU64::new(0));
         let in_cs = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = [(0u32, 1u32), (1u32, 0u32)]
@@ -143,7 +158,7 @@ fn packed_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vi
                 let data = data.clone();
                 let in_cs = in_cs.clone();
                 thread::spawn(move || {
-                    let mask = packed_conflict_mask(&[other]);
+                    let mask = conflict_mask(&[other]);
                     mech.lock(local, mask);
                     assert_eq!(
                         in_cs.fetch_add(1, Ordering::Relaxed),
@@ -176,11 +191,11 @@ fn packed_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vi
 /// as a model deadlock.
 fn packed_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = PackedMech::new(profile);
-        mech.lock(0, packed_conflict_mask(&[1]));
+        let mech = PackedMech::new(profile, PROBES);
+        mech.lock(0, conflict_mask(&[1]));
         let m2 = mech.clone();
         let waiter = thread::spawn(move || {
-            m2.lock(1, packed_conflict_mask(&[0]));
+            m2.lock(1, conflict_mask(&[0]));
             assert!(m2.unlock(1));
         });
         assert!(mech.unlock(0));
@@ -194,7 +209,7 @@ fn packed_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vi
 /// sites exist for.
 fn wide_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = WideMech::new(2, profile);
+        let mech = WideMech::new(2, profile, PROBES);
         mech.lock(0, &[1]);
         let m2 = mech.clone();
         let waiter = thread::spawn(move || {
@@ -209,47 +224,27 @@ fn wide_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Viol
     })
 }
 
-/// The lost-wakeup handoff on the conflict-graph transcription: the
-/// identical store-buffering pair as the wide mechanism, with the
-/// conflict check walking the precomputed adjacency rows.
-fn graph_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
+/// Exclusivity and visibility through the wide counters: two threads on
+/// mutually conflicting modes increment a plain data cell in their
+/// critical sections; no schedule may admit both at once or lose an
+/// update across the releases.
+fn wide_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = GraphMech::new(vec![vec![1], vec![0]], profile);
-        mech.lock(0);
-        let m2 = mech.clone();
-        let waiter = thread::spawn(move || {
-            m2.lock(1);
-            assert!(m2.unlock(1));
-        });
-        assert!(mech.unlock(0));
-        waiter.join();
-        assert_eq!(mech.count(0), 0);
-        assert_eq!(mech.count(1), 0);
-        assert!(!mech.unlock(1), "double unlock must be refused");
-    })
-}
-
-/// Exclusivity and visibility through the conflict-graph admission: two
-/// threads on mutually conflicting modes increment a plain data cell in
-/// their critical sections; no schedule may admit both at once or lose
-/// an update across the releases.
-fn graph_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
-    Checker::new().preemption_bound(3).check(move || {
-        let mech = GraphMech::new(vec![vec![1], vec![0]], profile);
+        let mech = WideMech::new(2, profile, PROBES);
         let data = Arc::new(AtomicU64::new(0));
         let in_cs = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = [0u32, 1u32]
+        let handles: Vec<_> = [(0u32, 1u32), (1u32, 0u32)]
             .into_iter()
-            .map(|local| {
+            .map(|(local, other)| {
                 let mech = mech.clone();
                 let data = data.clone();
                 let in_cs = in_cs.clone();
                 thread::spawn(move || {
-                    mech.lock(local);
+                    mech.lock(local, &[other]);
                     assert_eq!(
                         in_cs.fetch_add(1, Ordering::Relaxed),
                         0,
-                        "graph-conflicting modes held concurrently"
+                        "conflicting wide modes held concurrently"
                     );
                     let v = data.load(Ordering::Relaxed);
                     data.store(v + 1, Ordering::Relaxed);
@@ -268,7 +263,68 @@ fn graph_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vio
         );
         assert_eq!(mech.count(0), 0, "counts unbalanced after all releases");
         assert_eq!(mech.count(1), 0, "counts unbalanced after all releases");
+        assert_eq!(mech.waiters(), 0, "a waiter registration was left behind");
         assert!(!mech.unlock(0), "double unlock must be refused");
+    })
+}
+
+/// The probe phase on the admission word: main holds mode 0 and releases
+/// while the waiter is somewhere between its refused first attempt and
+/// the park path. Whenever the waiter is admitted without parking it must
+/// have published nothing — no node allocated (so none pushed and the
+/// summary bit, set only after a push, never set) — and main's release
+/// must have balanced the word all the same. `probing` records that some
+/// schedule really admits in the probe phase.
+fn packed_probe_drain_scenario(
+    profile: OrderingProfile,
+    probing: Arc<AtomicBool>,
+) -> Result<Stats, Box<Violation>> {
+    Checker::new().preemption_bound(3).check(move || {
+        let mech = PackedMech::new(profile, PROBES);
+        mech.lock(0, conflict_mask(&[1]));
+        let m2 = mech.clone();
+        let waiter = thread::spawn(move || {
+            let how = m2.lock(1, conflict_mask(&[0]));
+            if how != Admitted::Parked {
+                assert_eq!(m2.nodes_allocated(), 0, "{how:?} admission pushed a node");
+            }
+            assert!(m2.unlock(1));
+            how
+        });
+        assert!(mech.unlock(0));
+        let how = waiter.join();
+        if how == Admitted::Probing {
+            probing.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+        if how != Admitted::Parked {
+            assert_eq!(mech.nodes_allocated(), 0);
+        }
+        assert_eq!(mech.word(), 0, "counts or summary bit left behind");
+    })
+}
+
+/// The same drain-during-the-probe-phase shape on the wide counters: an
+/// admission that did not park never registered as a waiter.
+fn wide_probe_drain_scenario(
+    profile: OrderingProfile,
+    probing: Arc<AtomicBool>,
+) -> Result<Stats, Box<Violation>> {
+    Checker::new().preemption_bound(3).check(move || {
+        let mech = WideMech::new(2, profile, PROBES);
+        mech.lock(0, &[1]);
+        let m2 = mech.clone();
+        let waiter = thread::spawn(move || {
+            let how = m2.lock(1, &[0]);
+            assert!(m2.unlock(1));
+            how
+        });
+        assert!(mech.unlock(0));
+        if waiter.join() == Admitted::Probing {
+            probing.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+        assert_eq!(mech.count(0), 0);
+        assert_eq!(mech.count(1), 0);
+        assert_eq!(mech.waiters(), 0, "a waiter registration was left behind");
     })
 }
 
@@ -277,7 +333,7 @@ fn graph_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vio
 /// torn or half-stale double-word update cannot hide.
 fn dwcas_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = DwcasMech::new(profile);
+        let mech = DwcasMech::new(profile, PROBES);
         let data = Arc::new(AtomicU64::new(0));
         let in_cs = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = [(0u32, 15u32), (15u32, 0u32)]
@@ -287,7 +343,7 @@ fn dwcas_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vio
                 let data = data.clone();
                 let in_cs = in_cs.clone();
                 thread::spawn(move || {
-                    let mask = dwcas_conflict_mask(&[other]);
+                    let mask = conflict_mask(&[other]);
                     mech.lock(local, mask);
                     assert_eq!(
                         in_cs.fetch_add(1, Ordering::Relaxed),
@@ -317,11 +373,11 @@ fn dwcas_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vio
 /// The lost-wakeup shape on the Dwcas word.
 fn dwcas_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = DwcasMech::new(profile);
-        mech.lock(0, dwcas_conflict_mask(&[15]));
+        let mech = DwcasMech::new(profile, PROBES);
+        mech.lock(0, conflict_mask(&[15]));
         let m2 = mech.clone();
         let waiter = thread::spawn(move || {
-            m2.lock(15, dwcas_conflict_mask(&[0]));
+            m2.lock(15, conflict_mask(&[0]));
             assert!(m2.unlock(15));
         });
         assert!(mech.unlock(0));
@@ -343,15 +399,15 @@ fn stack_two_waiter_scenario(profile: OrderingProfile) -> Result<Stats, Box<Viol
     Checker::new()
         .preemption_bound(three_thread_bound().max(2))
         .check(move || {
-            let mech = PackedMech::new(profile);
+            let mech = PackedMech::new(profile, STACK_PROBES);
             let released = Arc::new(AtomicU64::new(0));
-            mech.lock(0, packed_conflict_mask(&[1]));
+            mech.lock(0, conflict_mask(&[1]));
             let waiters: Vec<_> = (0..2)
                 .map(|_| {
                     let mech = mech.clone();
                     let released = released.clone();
                     thread::spawn(move || {
-                        mech.lock(1, packed_conflict_mask(&[0]));
+                        mech.lock(1, conflict_mask(&[0]));
                         // Visibility: admission happens-after the release
                         // that freed mode 0, so the pre-release store is
                         // visible even through a Relaxed load.
@@ -389,14 +445,14 @@ fn stack_window_pusher_scenario(profile: OrderingProfile) -> Result<Stats, Box<V
     Checker::new()
         .preemption_bound(three_thread_bound().max(2))
         .check(move || {
-            let mech = PackedMech::new(profile);
-            mech.lock(0, packed_conflict_mask(&[2]));
-            mech.lock(1, packed_conflict_mask(&[2]));
+            let mech = PackedMech::new(profile, STACK_PROBES);
+            mech.lock(0, conflict_mask(&[2]));
+            mech.lock(1, conflict_mask(&[2]));
             let waiters: Vec<_> = (0..2)
                 .map(|_| {
                     let mech = mech.clone();
                     thread::spawn(move || {
-                        mech.lock(2, packed_conflict_mask(&[0, 1]));
+                        mech.lock(2, conflict_mask(&[0, 1]));
                         assert!(mech.unlock(2));
                     })
                 })
@@ -417,7 +473,7 @@ fn packed_three_thread_scenario(profile: OrderingProfile) -> Result<Stats, Box<V
     Checker::new()
         .preemption_bound(three_thread_bound())
         .check(move || {
-            let mech = PackedMech::new(profile);
+            let mech = PackedMech::new(profile, PROBES);
             let in_cs = Arc::new(AtomicU64::new(0));
             let specs = [(0u32, 1u32), (0u32, 1u32), (1u32, 0u32)];
             let handles: Vec<_> = specs
@@ -426,7 +482,7 @@ fn packed_three_thread_scenario(profile: OrderingProfile) -> Result<Stats, Box<V
                     let mech = mech.clone();
                     let in_cs = in_cs.clone();
                     thread::spawn(move || {
-                        mech.lock(local, packed_conflict_mask(&[other]));
+                        mech.lock(local, conflict_mask(&[other]));
                         // Mode 1 excludes both mode-0 holders; mode 0 only
                         // excludes mode 1, so encode holders as bit fields.
                         let token = 1u64 << (8 * local);
@@ -457,11 +513,11 @@ fn packed_group_word_all_or_nothing_scenario(
     profile: OrderingProfile,
 ) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = PackedMech::new(profile);
+        let mech = PackedMech::new(profile, PROBES);
         mech.lock(1, 0);
         let m2 = mech.clone();
         let prober = thread::spawn(move || {
-            let members = [(0u32, packed_conflict_mask(&[1])), (2u32, 0u64)];
+            let members = [(0u32, conflict_mask(&[1])), (2u32, 0u128)];
             assert!(
                 !m2.try_admit_group(&members),
                 "group admitted against a held conflict"
@@ -472,7 +528,7 @@ fn packed_group_word_all_or_nothing_scenario(
         });
         prober.join();
         assert!(mech.unlock(1));
-        let members = [(0u32, packed_conflict_mask(&[1])), (2u32, 0u64)];
+        let members = [(0u32, conflict_mask(&[1])), (2u32, 0u128)];
         assert!(mech.try_admit_group(&members), "uncontended group refused");
         assert_eq!(field_of(mech.word(), 0), 1);
         assert_eq!(field_of(mech.word(), 2), 1);
@@ -489,8 +545,8 @@ fn packed_group_word_all_or_nothing_scenario(
 /// refused probe's rollback must leave both words balanced.
 fn packed_group_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let a = PackedMech::new(profile);
-        let b = PackedMech::new(profile);
+        let a = PackedMech::new(profile, PROBES);
+        let b = PackedMech::new(profile, PROBES);
         let in_cs = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = [(0u32, 1u32), (1u32, 0u32)]
             .into_iter()
@@ -498,8 +554,8 @@ fn packed_group_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, 
                 let (a, b, in_cs) = (a.clone(), b.clone(), in_cs.clone());
                 thread::spawn(move || {
                     let members = [
-                        (a, local, packed_conflict_mask(&[other])),
-                        (b, local, packed_conflict_mask(&[other])),
+                        (a, local, conflict_mask(&[other])),
+                        (b, local, conflict_mask(&[other])),
                     ];
                     if group_probe(&members, GroupRollback::Correct) {
                         assert_eq!(
@@ -548,13 +604,13 @@ fn packed_group_rollback_scenario(
     Checker::new()
         .preemption_bound(three_thread_bound())
         .check(move || {
-            let a = PackedMech::new(profile);
-            let b = PackedMech::new(profile);
+            let a = PackedMech::new(profile, PROBES);
+            let b = PackedMech::new(profile, PROBES);
             b.lock(1, 0);
             let (av, bv) = (a.clone(), b.clone());
             let victim = thread::spawn(move || {
                 bv.lock(0, 0);
-                av.lock(1, packed_conflict_mask(&[0]));
+                av.lock(1, conflict_mask(&[0]));
                 assert!(av.unlock(1));
                 assert!(
                     bv.unlock(0),
@@ -564,8 +620,8 @@ fn packed_group_rollback_scenario(
             let (ap, bp) = (a.clone(), b.clone());
             let prober = thread::spawn(move || {
                 let members = [
-                    (ap, 0u32, packed_conflict_mask(&[1])),
-                    (bp, 0u32, packed_conflict_mask(&[1])),
+                    (ap, 0u32, conflict_mask(&[1])),
+                    (bp, 0u32, conflict_mask(&[1])),
                 ];
                 assert!(
                     !group_probe(&members, rollback),
@@ -646,18 +702,30 @@ fn wide_release_never_loses_a_wakeup() {
 }
 
 #[test]
-fn graph_release_never_loses_a_wakeup() {
-    graph_lost_wakeup_scenario(OrderingProfile::default())
-        .expect("shipped conflict-graph protocol must not lose wakeups");
-}
-
-#[test]
-fn graph_admission_is_exclusive_and_visible() {
-    let stats = graph_exclusivity_scenario(OrderingProfile::default())
-        .expect("shipped conflict-graph protocol must pass exclusivity/visibility");
+fn wide_admission_is_exclusive_and_visible() {
+    let stats = wide_exclusivity_scenario(OrderingProfile::default())
+        .expect("shipped wide protocol must pass exclusivity/visibility");
     assert!(
         stats.schedules > 100,
         "exploration suspiciously small: {stats:?}"
+    );
+}
+
+#[test]
+fn conflict_draining_during_the_probe_phase_admits_without_publishing() {
+    let probing = Arc::new(AtomicBool::new(false));
+    packed_probe_drain_scenario(OrderingProfile::default(), probing.clone())
+        .expect("a probe-phase admission on the word must publish nothing");
+    assert!(
+        probing.load(std::sync::atomic::Ordering::Relaxed),
+        "no schedule admitted in the word's probe phase"
+    );
+    let probing = Arc::new(AtomicBool::new(false));
+    wide_probe_drain_scenario(OrderingProfile::default(), probing.clone())
+        .expect("a probe-phase admission on the wide counters must register no waiter");
+    assert!(
+        probing.load(std::sync::atomic::Ordering::Relaxed),
+        "no schedule admitted in the wide probe phase"
     );
 }
 
@@ -711,8 +779,8 @@ fn is_counterexample(v: &Violation) -> bool {
 fn every_seeded_ordering_mutant_is_detected() {
     let mutants = OrderingProfile::mutants();
     assert!(
-        mutants.len() >= 11,
-        "ORDERING_AUDIT must seed at least 11 mutants, found {}",
+        mutants.len() >= 9,
+        "ORDERING_AUDIT must seed at least 9 mutants, found {}",
         mutants.len()
     );
     let mut survivors = Vec::new();
@@ -722,12 +790,7 @@ fn every_seeded_ordering_mutant_is_detected() {
         // a mutant costs a full exploration we can usually skip.
         type Scenario = fn(OrderingProfile) -> Result<Stats, Box<Violation>>;
         let mut scenarios: Vec<Scenario> = if site.starts_with("wide.") {
-            // The conflict-graph backend transcribes the wide protocol
-            // verbatim, so a weakened wide site must fall to the graph
-            // scenarios too (see the dedicated test below).
-            vec![wide_lost_wakeup_scenario, graph_lost_wakeup_scenario]
-        } else if site.starts_with("dwcas.") {
-            vec![dwcas_exclusivity_scenario, dwcas_lost_wakeup_scenario]
+            vec![wide_lost_wakeup_scenario, wide_exclusivity_scenario]
         } else if site.starts_with("stack.") {
             vec![
                 stack_two_waiter_scenario,
@@ -749,10 +812,9 @@ fn every_seeded_ordering_mutant_is_detected() {
             stack_two_waiter_scenario,
             stack_window_pusher_scenario,
             wide_lost_wakeup_scenario,
-            graph_lost_wakeup_scenario,
-            graph_exclusivity_scenario,
+            wide_exclusivity_scenario,
             packed_three_thread_scenario,
-        ] as [Scenario; 10]);
+        ] as [Scenario; 9]);
         let caught = scenarios
             .into_iter()
             .filter_map(|s| s(*profile).err())
@@ -767,12 +829,51 @@ fn every_seeded_ordering_mutant_is_detected() {
     );
 }
 
-/// The conflict-graph backend inherits the wide protocol's ordering
-/// sites wholesale, so its transcription must be strong enough to
-/// refute every `wide.*` mutant *on its own* — otherwise the backend is
-/// riding on orderings the model cannot show it needs.
+/// The word's audited sites are shared by both widths (the protocol is
+/// one generic function), so each width's scenarios must refute every
+/// `word.*` mutant *on their own* — otherwise one width is riding on the
+/// other's evidence.
 #[test]
-fn wide_site_mutants_fall_to_the_graph_transcription() {
+fn word_site_mutants_fall_at_both_widths() {
+    type Scenario = fn(OrderingProfile) -> Result<Stats, Box<Violation>>;
+    let widths: [(&str, [Scenario; 2]); 2] = [
+        (
+            "packed",
+            [packed_exclusivity_scenario, packed_lost_wakeup_scenario],
+        ),
+        (
+            "dwcas",
+            [dwcas_exclusivity_scenario, dwcas_lost_wakeup_scenario],
+        ),
+    ];
+    let mut checked = 0;
+    let mut survivors = Vec::new();
+    for (site, profile) in OrderingProfile::mutants() {
+        if !site.starts_with("word.") {
+            continue;
+        }
+        checked += 1;
+        for (width, scenarios) in &widths {
+            let caught = scenarios
+                .iter()
+                .filter_map(|s| s(profile).err())
+                .any(|v| is_counterexample(&v));
+            if !caught {
+                survivors.push((site, *width));
+            }
+        }
+    }
+    assert_eq!(checked, 2, "expected both word CAS sites to seed mutants");
+    assert!(
+        survivors.is_empty(),
+        "word-site mutants survived at one width: {survivors:?}"
+    );
+}
+
+/// Every `wide.*` mutant must be refuted by the wide scenarios alone —
+/// they are the only transcription that runs on those four sites.
+#[test]
+fn wide_site_mutants_fall_to_the_wide_scenarios() {
     let mut checked = 0;
     let mut survivors = Vec::new();
     for (site, profile) in OrderingProfile::mutants() {
@@ -780,7 +881,7 @@ fn wide_site_mutants_fall_to_the_graph_transcription() {
             continue;
         }
         checked += 1;
-        let caught = [graph_lost_wakeup_scenario, graph_exclusivity_scenario]
+        let caught = [wide_lost_wakeup_scenario, wide_exclusivity_scenario]
             .into_iter()
             .filter_map(|s| s(profile).err())
             .any(|v| is_counterexample(&v));
@@ -791,6 +892,6 @@ fn wide_site_mutants_fall_to_the_graph_transcription() {
     assert_eq!(checked, 4, "expected all four wide sites to seed mutants");
     assert!(
         survivors.is_empty(),
-        "wide-site mutants survived the conflict-graph transcription: {survivors:?}"
+        "wide-site mutants survived the wide scenarios: {survivors:?}"
     );
 }

@@ -1,5 +1,13 @@
-//! 128-bit atomic word for the [`crate::mech::MechLayout::Dwcas`]
-//! admission layout.
+//! 128-bit atomic word for the [`AdmissionBackend::Dwcas`] admission
+//! layout: the only lock-free representation for partitions of 9–16
+//! modes.
+//!
+//! Its worth is **unverified on the repo's benchmark**: the `gossip`
+//! workload (one 9-mode partition) is the only traffic `Auto` routes
+//! here, and `BENCHMARK.json` has no workload with a 9–16-mode partition,
+//! so no end-to-end number says whether this word beats the wide counters
+//! it displaces. It is kept until a benchmark workload on that side of the
+//! choice can decide (ROADMAP item 3).
 //!
 //! `std` exposes no stable `AtomicU128`, and the `core::arch` cmpxchg16b
 //! intrinsic does not lower to `lock cmpxchg16b` without a global
@@ -16,10 +24,12 @@
 //! * **portable fallback** (feature off, or any other architecture): the
 //!   same API over a spinlock-guarded `u128`. Not lock-free — it exists so
 //!   the `Dwcas` layout stays *correct* everywhere (the `--no-default-
-//!   features` CI job builds and tests it), while [`MechLayout::Auto`]
-//!   only ever selects `Dwcas` when [`AtomicU128::is_lock_free`] is true.
+//!   features` CI job builds and tests it), while
+//!   [`AdmissionBackend::Auto`] only ever selects `Dwcas` when
+//!   [`AtomicU128::is_lock_free`] is true.
 //!
-//! [`MechLayout::Auto`]: crate::mech::MechLayout::Auto
+//! [`AdmissionBackend::Dwcas`]: crate::mech::AdmissionBackend::Dwcas
+//! [`AdmissionBackend::Auto`]: crate::mech::AdmissionBackend::Auto
 
 #![allow(unsafe_code)]
 
@@ -186,7 +196,7 @@ mod imp {
     use std::sync::atomic::AtomicBool;
 
     /// Portable fallback: a spinlock-guarded `u128`. Correct everywhere,
-    /// lock-free nowhere — [`crate::mech::MechLayout::Auto`] never selects
+    /// lock-free nowhere — [`crate::mech::AdmissionBackend::Auto`] never selects
     /// the Dwcas layout on this path.
     pub struct AtomicU128 {
         locked: AtomicBool,
@@ -294,7 +304,7 @@ impl AtomicU128 {
 }
 
 /// Whether the running machine serves [`AtomicU128`] with a single
-/// hardware compare-exchange. [`crate::mech::MechLayout::Auto`] consults
+/// hardware compare-exchange. [`crate::mech::AdmissionBackend::Auto`] consults
 /// this before routing a 9–16-mode partition to the Dwcas layout.
 pub fn dwcas_available() -> bool {
     AtomicU128::is_lock_free()

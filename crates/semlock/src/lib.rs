@@ -18,11 +18,10 @@
 //! * [`phi::Phi`] — the abstract-value hash φ (§5.1);
 //! * [`mode::ModeTable`] — locking-mode generation, merging, the
 //!   commutativity function `F_c` (Fig. 19) and lock partitioning (§5.2–5.3);
-//! * [`mech::Mech`] — the per-partition counter mechanism of Fig. 20;
-//! * [`admission`] — the pluggable admission backends behind one
-//!   [`admission::Admission`] trait: the three word/counter layouts plus
-//!   an Aksenov-style conflict-graph backend and an optimistic
-//!   try-then-block hybrid, selected by [`admission::AdmissionBackend`];
+//! * [`mech::Mech`] — the per-partition counter mechanism of Fig. 20:
+//!   one acquisition protocol (admit try → bounded probes → park) over
+//!   three counter representations chosen from the partition's mode
+//!   count ([`mech::AdmissionBackend`] forces one, for tests);
 //! * [`manager::SemLock`] — the per-instance `lock` / `unlockAll` API;
 //! * [`txn::Txn`] — transaction contexts (`LOCAL_SET`, `LV`, `LV2`,
 //!   epilogue, early release);
@@ -87,7 +86,6 @@
 #![warn(missing_docs)]
 
 pub mod acquire;
-pub mod admission;
 pub mod commut;
 pub mod dwcas;
 pub mod error;
@@ -111,26 +109,24 @@ pub mod watchdog;
 
 // The acquisition surface at the crate root: exactly what a caller needs
 // to take and release modes — the unified `acquire(&AcquireSpec)` path,
-// its error types, and the admission-backend configuration. Everything
+// its error types, and the counter-representation selector. Everything
 // else (schema/spec/synthesis machinery, counter layouts, the retry/
 // overload layer) stays behind its module: that surface is
 // compiler-facing or policy-facing, not lock-caller-facing.
 pub use crate::acquire::{AcquireSpec, WaitBudget};
-pub use crate::admission::{Admission, AdmissionBackend};
 pub use crate::error::{LockError, LockResult};
 pub use crate::manager::{SemLock, SemLockBuilder};
-pub use crate::mech::WaitStrategy;
+pub use crate::mech::{AdmissionBackend, WaitStrategy};
 pub use crate::mode::ModeId;
 pub use crate::txn::Txn;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
     pub use crate::acquire::{AcquireSpec, WaitBudget};
-    pub use crate::admission::{Admission, AdmissionBackend};
     pub use crate::error::{LockError, LockResult};
     pub use crate::fault::{FaultAction, FaultPlan, FaultPoint};
     pub use crate::manager::{SemLock, SemLockBuilder};
-    pub use crate::mech::WaitStrategy;
+    pub use crate::mech::{AdmissionBackend, WaitStrategy};
     pub use crate::mode::{LockSiteId, Mode, ModeArg, ModeId, ModeOp, ModeTable};
     pub use crate::phi::{AbsVal, Phi};
     pub use crate::protocol::ProtocolChecker;

@@ -1,20 +1,16 @@
 //! Per-ADT-instance semantic locks (§2.2).
 //!
 //! A [`SemLock`] is the synchronization side of one ADT instance: it owns
-//! one admission backend (see [`crate::admission`], selected by
-//! [`AdmissionBackend`]) per partition of the class's [`ModeTable`] and
-//! exposes the
-//! mode-level `lock` / `unlock` the paper's synchronization API compiles
-//! down to. Every instance carries a process-unique identifier, used both
+//! one [`Mech`] per partition of the class's [`ModeTable`] — its counter
+//! representation chosen from the partition's mode count — and exposes
+//! the mode-level `lock` / `unlock` the paper's synchronization API
+//! compiles down to. Every instance carries a process-unique identifier, used both
 //! for the dynamic ordering of same-equivalence-class acquisitions
 //! (`unique(x)` in Fig. 12) and by the protocol checker.
 
 use crate::acquire::{AcquireSpec, WaitBudget};
-use crate::admission::{
-    Admission, AdmissionBackend, AnyBackend, ConflictGraphBackend, OptimisticHybridBackend,
-};
 use crate::error::LockError;
-use crate::mech::{Acquire, Mech, MechLayout, Wait, WaitStrategy};
+use crate::mech::{Acquire, AdmissionBackend, Mech, Wait, WaitStrategy};
 use crate::mode::{ModeId, ModePlacement, ModeTable};
 use crate::telemetry::{self, EventKind, WaitCause};
 use crate::watchdog::{self, TxnId};
@@ -67,7 +63,8 @@ enum PoisonStage {
 /// The semantic lock of one ADT instance.
 pub struct SemLock {
     table: Arc<ModeTable>,
-    backends: Box<[AnyBackend]>,
+    /// One mechanism per partition of `table`.
+    mechs: Box<[Mech]>,
     backend: AdmissionBackend,
     id: u64,
     /// Set when a transaction panicked during an ADT operation on this
@@ -76,8 +73,9 @@ pub struct SemLock {
     poisoned: AtomicBool,
 }
 
-/// Builder for [`SemLock`]: pick a wait strategy and an admission
-/// backend, then [`build`](SemLockBuilder::build).
+/// Builder for [`SemLock`]: pick a wait strategy and, in tests and A/B
+/// benches, a forced counter representation, then
+/// [`build`](SemLockBuilder::build).
 ///
 /// ```
 /// # use semlock::schema::set_schema;
@@ -89,8 +87,9 @@ pub struct SemLock {
 /// # let spec = CommutSpec::builder(schema.clone()).build();
 /// # let table = ModeTable::builder(schema, spec, Phi::modulo(4)).build();
 /// let lock = SemLock::builder(table)
-///     .backend(AdmissionBackend::ConflictGraph)
+///     .backend(AdmissionBackend::Wide)
 ///     .build();
+/// assert_eq!(lock.backend(), AdmissionBackend::Wide);
 /// ```
 pub struct SemLockBuilder {
     table: Arc<ModeTable>,
@@ -105,7 +104,8 @@ impl SemLockBuilder {
         self
     }
 
-    /// Set the admission backend (default: [`AdmissionBackend::Auto`]).
+    /// Force a counter representation (default: [`AdmissionBackend::Auto`],
+    /// which is right outside tests and A/B benches).
     pub fn backend(mut self, backend: AdmissionBackend) -> SemLockBuilder {
         self.backend = backend;
         self
@@ -119,14 +119,14 @@ impl SemLockBuilder {
 
 impl SemLock {
     /// Create the lock for a new ADT instance of the class described by
-    /// `table`, using the default (blocking) wait strategy and the
-    /// [`AdmissionBackend::Auto`] backend.
+    /// `table`, using the default (blocking) wait strategy and
+    /// [`AdmissionBackend::Auto`].
     pub fn new(table: Arc<ModeTable>) -> SemLock {
         SemLock::with_strategy(table, WaitStrategy::Block)
     }
 
-    /// Start building a lock with a non-default wait strategy or
-    /// admission backend.
+    /// Start building a lock with a non-default wait strategy or a forced
+    /// counter representation.
     pub fn builder(table: Arc<ModeTable>) -> SemLockBuilder {
         SemLockBuilder {
             table,
@@ -140,76 +140,33 @@ impl SemLock {
         SemLock::with_backend(table, strategy, AdmissionBackend::Auto)
     }
 
-    /// Create with an explicit admission backend — the configuration
-    /// surface behind which all counter layouts and admission policies
-    /// live (see [`crate::admission`]).
+    /// Create with an explicit counter representation for every
+    /// partition (see [`AdmissionBackend`]).
     ///
     /// # Panics
-    /// If the backend's [`AdmissionBackend::max_modes`] bound is
-    /// exceeded by some partition of `table`.
+    /// If `backend` is `Packed` or `Dwcas` and some partition of `table`
+    /// has more modes than that word holds.
     pub fn with_backend(
         table: Arc<ModeTable>,
         strategy: WaitStrategy,
         backend: AdmissionBackend,
     ) -> SemLock {
-        let backends = table
+        let mechs = table
             .partition_sizes()
             .iter()
-            .enumerate()
-            .map(|(part, &sz)| {
-                let modes = sz as usize;
-                match backend {
-                    AdmissionBackend::Auto => {
-                        AnyBackend::Word(Mech::with_layout(modes, strategy, MechLayout::Auto))
-                    }
-                    AdmissionBackend::Wide => {
-                        AnyBackend::Word(Mech::with_layout(modes, strategy, MechLayout::Wide))
-                    }
-                    AdmissionBackend::Packed => {
-                        AnyBackend::Word(Mech::with_layout(modes, strategy, MechLayout::Packed))
-                    }
-                    AdmissionBackend::Dwcas => {
-                        AnyBackend::Word(Mech::with_layout(modes, strategy, MechLayout::Dwcas))
-                    }
-                    AdmissionBackend::ConflictGraph => AnyBackend::Graph(
-                        ConflictGraphBackend::new(table.conflict_adjacency(part as u32), strategy),
-                    ),
-                    AdmissionBackend::OptimisticHybrid => {
-                        AnyBackend::Hybrid(OptimisticHybridBackend::new(modes, strategy))
-                    }
-                }
-            })
+            .map(|&modes| Mech::with_backend(modes as usize, strategy, backend))
             .collect();
         SemLock {
             table,
-            backends,
+            mechs,
             backend,
             id: fresh_instance_id(),
             poisoned: AtomicBool::new(false),
         }
     }
 
-    /// Create with an explicit counter representation per mechanism.
-    #[deprecated(
-        since = "0.2.0",
-        note = "select a backend with `SemLock::with_backend` / `SemLock::builder` instead \
-                of a raw counter layout"
-    )]
-    pub fn with_mech_layout(
-        table: Arc<ModeTable>,
-        strategy: WaitStrategy,
-        layout: MechLayout,
-    ) -> SemLock {
-        let backend = match layout {
-            MechLayout::Auto => AdmissionBackend::Auto,
-            MechLayout::Packed => AdmissionBackend::Packed,
-            MechLayout::Dwcas => AdmissionBackend::Dwcas,
-            MechLayout::Wide => AdmissionBackend::Wide,
-        };
-        SemLock::with_backend(table, strategy, backend)
-    }
-
-    /// The configured admission backend.
+    /// The configured representation — [`AdmissionBackend::Auto`] unless
+    /// one was forced; [`Mech::backend`] reports what a partition got.
     pub fn backend(&self) -> AdmissionBackend {
         self.backend
     }
@@ -270,11 +227,11 @@ impl SemLock {
         if p.free {
             return Ok(()); // commutes with everything: admission can never fail
         }
-        self.backends[p.part as usize].lock(p.local, p.conflicts());
+        self.mechs[p.part as usize].lock(p.local, p.conflicts());
         // Re-check after admission: the instance may have been poisoned by
         // a holder that panicked while we were blocked.
         if self.is_poisoned() {
-            let _ = self.backends[p.part as usize].unlock(p.local);
+            let _ = self.mechs[p.part as usize].unlock(p.local);
             return Err(PoisonStage::AfterWait);
         }
         Ok(())
@@ -309,9 +266,9 @@ impl SemLock {
             return Ok(());
         }
         self.tele_sample_conflicts(t0, ctx, mode, p);
-        let waited = self.backends[p.part as usize].lock(p.local, p.conflicts());
+        let waited = self.mechs[p.part as usize].lock(p.local, p.conflicts());
         if self.is_poisoned() {
-            let _ = self.backends[p.part as usize].unlock(p.local);
+            let _ = self.mechs[p.part as usize].unlock(p.local);
             let t1 = telemetry::now_ns();
             self.tele(
                 t1,
@@ -425,9 +382,9 @@ impl SemLock {
         if p.free {
             return Ok(());
         }
-        if self.backends[p.part as usize].try_lock(p.local, p.conflicts()) {
+        if self.mechs[p.part as usize].try_lock(p.local, p.conflicts()) {
             if self.is_poisoned() {
-                let _ = self.backends[p.part as usize].unlock(p.local);
+                let _ = self.mechs[p.part as usize].unlock(p.local);
                 return Err(LockError::Poisoned { instance: self.id });
             }
             Ok(())
@@ -463,9 +420,9 @@ impl SemLock {
             self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
             return Ok(());
         }
-        if self.backends[p.part as usize].try_lock(p.local, p.conflicts()) {
+        if self.mechs[p.part as usize].try_lock(p.local, p.conflicts()) {
             if self.is_poisoned() {
-                let _ = self.backends[p.part as usize].unlock(p.local);
+                let _ = self.mechs[p.part as usize].unlock(p.local);
                 self.tele(
                     t0,
                     EventKind::PoisonRejected,
@@ -495,8 +452,8 @@ impl SemLock {
     /// rolled back in reverse order).
     ///
     /// Modes are grouped by partition and each partition admits through
-    /// its backend's [`Admission::lock_group`] — one CAS per distinct
-    /// partition word on the packed/Dwcas layouts. A conflict reports
+    /// [`Mech::try_lock_group`] — one CAS per distinct partition word on
+    /// the packed/Dwcas layouts. A conflict reports
     /// [`LockError::Timeout`] with a zero wait (as [`SemLock::try_lock_checked`]);
     /// the caller escalates to the blocking per-mode protocol.
     ///
@@ -537,7 +494,7 @@ impl SemLock {
                     cs: p.conflicts(),
                 })
                 .collect();
-            if !self.backends[part as usize].lock_group(&members) {
+            if !self.mechs[part as usize].try_lock_group(&members) {
                 self.rollback_group(&placements, &admitted);
                 return Err(LockError::Timeout {
                     instance: self.id,
@@ -561,7 +518,7 @@ impl SemLock {
     fn rollback_group(&self, placements: &[&ModePlacement], admitted: &[u32]) {
         for &part in admitted.iter().rev() {
             for p in placements.iter().rev().filter(|p| p.part == part) {
-                let released = self.backends[part as usize].unlock(p.local);
+                let released = self.mechs[part as usize].unlock(p.local);
                 debug_assert!(released, "group rollback released an unheld mode");
             }
         }
@@ -669,7 +626,7 @@ impl SemLock {
         let mut registered = false;
         let mut pending: Option<Vec<TxnId>> = None;
         let mut abort_cycle: Vec<TxnId> = Vec::new();
-        let outcome = self.backends[p.part as usize].lock_deadline(
+        let outcome = self.mechs[p.part as usize].lock_deadline(
             p.local,
             p.conflicts(),
             deadline,
@@ -706,7 +663,7 @@ impl SemLock {
                 // Re-check after admission: a holder may have poisoned the
                 // instance (panic mid-operation) while we were blocked.
                 if self.is_poisoned() {
-                    let _ = self.backends[p.part as usize].unlock(p.local);
+                    let _ = self.mechs[p.part as usize].unlock(p.local);
                     if tel {
                         let t1 = telemetry::now_ns();
                         self.tele(
@@ -800,12 +757,12 @@ impl SemLock {
     /// Sum of hold counts over every mode (quiescence checks: zero means
     /// no transaction holds any mode on this instance).
     pub fn total_holds(&self) -> u64 {
-        self.backends.iter().map(|m| m.held_total()).sum()
+        self.mechs.iter().map(|m| m.held_total()).sum()
     }
 
     /// Bounded acquisitions that timed out, summed over all partitions.
     pub fn timeout_count(&self) -> u64 {
-        self.backends
+        self.mechs
             .iter()
             .map(|m| m.stats().timeouts.load(Ordering::Relaxed))
             .sum()
@@ -838,7 +795,7 @@ impl SemLock {
         if p.free {
             return Ok(());
         }
-        if self.backends[p.part as usize].unlock(p.local) {
+        if self.mechs[p.part as usize].unlock(p.local) {
             Ok(())
         } else {
             self.poison();
@@ -859,7 +816,7 @@ impl SemLock {
             self.tele(t0, EventKind::Release, WaitCause::None, ctx, mode, 0);
             return Ok(());
         }
-        if self.backends[p.part as usize].unlock(p.local) {
+        if self.mechs[p.part as usize].unlock(p.local) {
             self.tele(t0, EventKind::Release, WaitCause::None, ctx, mode, 0);
             Ok(())
         } else {
@@ -882,7 +839,7 @@ impl SemLock {
     /// Releases refused because they would have underflowed a hold
     /// counter, summed over all partitions.
     pub fn underflow_count(&self) -> u64 {
-        self.backends
+        self.mechs
             .iter()
             .map(|m| m.stats().underflows.load(Ordering::Relaxed))
             .sum()
@@ -924,7 +881,7 @@ impl SemLock {
         mode: ModeId,
         p: &ModePlacement,
     ) -> bool {
-        let held = self.backends[p.part as usize].held_conflicting(&p.local_conflicts);
+        let held = self.mechs[p.part as usize].held_conflicting(&p.local_conflicts);
         for &local in &held {
             let other = self
                 .table
@@ -952,7 +909,7 @@ impl SemLock {
         if p.free {
             0
         } else {
-            self.backends[p.part as usize].count(p.local)
+            self.mechs[p.part as usize].count(p.local)
         }
     }
 
@@ -961,7 +918,7 @@ impl SemLock {
     pub fn contention(&self) -> (u64, u64) {
         let mut acq = 0;
         let mut cont = 0;
-        for m in self.backends.iter() {
+        for m in self.mechs.iter() {
             acq += m.stats().acquisitions.load(Ordering::Relaxed);
             cont += m.stats().contended.load(Ordering::Relaxed);
         }
@@ -976,7 +933,7 @@ impl std::fmt::Debug for SemLock {
             "SemLock#{} ({}, {} partitions)",
             self.id,
             self.table.schema().name(),
-            self.backends.len()
+            self.mechs.len()
         )
     }
 }
@@ -1108,14 +1065,10 @@ mod tests {
         assert_eq!(lock.total_holds(), 0);
     }
 
-    /// Every backend family, for the tests that pin bounded-acquire
-    /// behaviour the admission fast path must not change.
-    const BACKENDS: [AdmissionBackend; 4] = [
-        AdmissionBackend::Auto,
-        AdmissionBackend::Wide,
-        AdmissionBackend::ConflictGraph,
-        AdmissionBackend::OptimisticHybrid,
-    ];
+    /// `Auto` (packed, on this table) and the wide oracle, for the tests
+    /// that pin bounded-acquire behaviour the admission fast path must
+    /// not change.
+    const BACKENDS: [AdmissionBackend; 2] = [AdmissionBackend::Auto, AdmissionBackend::Wide];
 
     #[test]
     fn zero_timeout_admits_a_free_mode_and_refuses_a_held_one_without_parking() {
@@ -1131,11 +1084,8 @@ mod tests {
             let err = lock.acquire(&zero).unwrap_err();
             assert!(matches!(err, LockError::Timeout { .. }), "{backend}: {err}");
             assert_eq!(lock.timeout_count(), 1, "{backend}");
-            assert!(
-                lock.backends.iter().all(|b| !b.waiter_summary()),
-                "{backend}"
-            );
-            assert!(lock.backends.iter().all(|b| b.live_waiter_nodes() == 0));
+            assert!(lock.mechs.iter().all(|b| !b.waiter_summary()), "{backend}");
+            assert!(lock.mechs.iter().all(|b| b.live_waiter_nodes() == 0));
             lock.unlock(m);
             assert_eq!(lock.total_holds(), 0, "{backend}");
         }

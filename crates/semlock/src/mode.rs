@@ -185,17 +185,13 @@ pub struct ModePlacement {
     pub local: u32,
     /// Local indices (within the same partition) of conflicting modes.
     pub local_conflicts: Vec<u32>,
-    /// Packed-word field mask over `local_conflicts`, precomputed here so
-    /// the admission fast path ([`crate::mech::Mech`]) does zero per-acquire
-    /// setup. Covers only locals within [`crate::mech::PACKED_MODE_LIMIT`];
-    /// partitions wider than that use the mutex fallback and never consult
+    /// Admission-word field mask over `local_conflicts`
+    /// ([`crate::mech::conflict_mask`]), precomputed here so the admission
+    /// fast path ([`crate::mech::Mech`]) does zero per-acquire setup.
+    /// Covers only locals within [`crate::mech::DWCAS_MODE_LIMIT`];
+    /// partitions wider than that use the wide counters and never consult
     /// the mask.
-    pub conflict_mask: u64,
-    /// Dwcas-word field mask over `local_conflicts` (sixteen 7-bit
-    /// fields), precomputed like `conflict_mask`. Covers only locals
-    /// within [`crate::mech::DWCAS_MODE_LIMIT`]; wider partitions use the
-    /// mutex fallback and never consult it.
-    pub conflict_mask128: u128,
+    pub conflict_mask: u128,
     /// True if the mode commutes with every mode including itself: locking
     /// it can never block nor be blocked, so acquisition is a no-op.
     pub free: bool,
@@ -204,11 +200,7 @@ pub struct ModePlacement {
 impl ModePlacement {
     /// The mode's conflict set in the borrowed form the mechanism consumes.
     pub fn conflicts(&self) -> crate::mech::ConflictSet<'_> {
-        crate::mech::ConflictSet::from_parts(
-            &self.local_conflicts,
-            self.conflict_mask,
-            self.conflict_mask128,
-        )
+        crate::mech::ConflictSet::from_parts(&self.local_conflicts, self.conflict_mask)
     }
 }
 
@@ -301,34 +293,6 @@ impl ModeTable {
     /// The commutativity function `F_c` between two canonical modes.
     pub fn fc(&self, a: ModeId, b: ModeId) -> bool {
         self.fc[a.0 as usize * self.modes.len() + b.0 as usize]
-    }
-
-    /// The conflict graph of one partition as per-local adjacency rows:
-    /// `rows[l]` lists the local indices whose modes do **not** commute
-    /// with the mode at `(part, l)` under `F_c`. This is the input the
-    /// conflict-graph admission backend
-    /// ([`crate::admission::ConflictGraphBackend`]) precomputes — derived
-    /// here directly from `F_c` rather than read back from
-    /// [`ModePlacement::local_conflicts`], so the backend exercises the
-    /// commutativity analysis itself (the two are asserted equal by the
-    /// equivalence tests).
-    pub fn conflict_adjacency(&self, part: u32) -> Vec<Vec<u32>> {
-        let n = self.part_sizes[part as usize] as usize;
-        let mut rows = vec![Vec::new(); n];
-        for (local, row) in rows.iter_mut().enumerate() {
-            let Some(a) = self.mode_for_local(part, local as u32) else {
-                continue;
-            };
-            for other in 0..n {
-                let Some(b) = self.mode_for_local(part, other as u32) else {
-                    continue;
-                };
-                if !self.fc(a, b) {
-                    row.push(other as u32);
-                }
-            }
-        }
-        rows
     }
 
     /// Select the mode for a lock site given the runtime values of its key
@@ -607,7 +571,6 @@ impl ModeTableBuilder {
                 local,
                 local_conflicts: Vec::new(),
                 conflict_mask: 0,
-                conflict_mask128: 0,
                 free: false,
             });
         }
@@ -624,8 +587,7 @@ impl ModeTableBuilder {
             // single mechanism — that is precisely the bottleneck the
             // ablation measures.
             placement[a].free = partitioning && conflicts.is_empty();
-            placement[a].conflict_mask = crate::mech::packed_conflict_mask(&conflicts);
-            placement[a].conflict_mask128 = crate::mech::dwcas_conflict_mask(&conflicts);
+            placement[a].conflict_mask = crate::mech::conflict_mask(&conflicts);
             placement[a].local_conflicts = conflicts;
         }
 

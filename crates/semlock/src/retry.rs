@@ -339,11 +339,6 @@ pub enum ThrottleDecision<'a> {
     Shed,
 }
 
-/// Former name of [`ThrottleDecision`], renamed when the lock-admission
-/// trait [`crate::admission::Admission`] took the `Admission` name.
-#[deprecated(since = "0.2.0", note = "renamed to `ThrottleDecision`")]
-pub type Admission<'a> = ThrottleDecision<'a>;
-
 /// A token-based concurrency cap with shed-on-saturation, modeled on the
 /// fallback-path governors of HTM runtimes: when every token is out, new
 /// arrivals are *shed* (rejected immediately) instead of queued, and a

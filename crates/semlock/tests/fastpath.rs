@@ -1,17 +1,14 @@
-//! Cross-backend conformance suite for the admission fast paths: every
-//! registered [`Admission`] backend — the packed (64-bit) and Dwcas
-//! (128-bit) words, the wide counters-under-mutex oracle, the
-//! conflict-graph backend and the optimistic try-then-block hybrid —
-//! must make *exactly* the same admission, refusal and balance
-//! decisions as the wide oracle on identical schedules, and no backend
-//! may lose a wakeup, leak a waiter node, or leave the waiter summary
-//! behind.
+//! Conformance suite for the admission fast paths: the packed (64-bit)
+//! and Dwcas (128-bit) admission words must make *exactly* the same
+//! admission, refusal and balance decisions — and keep exactly the same
+//! statistics — as the wide counters-under-mutex oracle on identical
+//! schedules, and no representation may lose a wakeup, leak a waiter
+//! node, or leave the waiter summary behind.
 
 use proptest::prelude::*;
-use semlock::admission::{
-    Admission, AdmissionBackend, ConflictGraphBackend, OptimisticHybridBackend,
+use semlock::mech::{
+    AdmissionBackend, ConflictSet, Mech, Wait, WaitStrategy, DWCAS_MODE_LIMIT, PACKED_MODE_LIMIT,
 };
-use semlock::mech::{ConflictSet, Mech, MechLayout, Wait, WaitStrategy};
 use semlock::mode::{LockSiteId, ModeTable};
 use semlock::phi::Phi;
 use semlock::schema::set_schema;
@@ -55,53 +52,39 @@ enum Step {
     Expired(u32),
 }
 
-/// Every registered admission backend that serves a partition of
-/// `modes` modes with the given symmetric conflict relation, boxed
-/// behind the [`Admission`] trait. The first element is always the wide
-/// counters-under-mutex mech — the conformance oracle the others are
-/// checked against. Word layouts with a mode-count ceiling (packed ≤ 8,
-/// Dwcas ≤ 16) are skipped above their limit, exactly as the backend
-/// config would refuse them.
-fn conformance_backends(modes: usize, conflicts: &[Vec<u32>]) -> Vec<Box<dyn Admission>> {
-    let mut backends: Vec<Box<dyn Admission>> = vec![Box::new(Mech::with_layout(
-        modes,
-        WaitStrategy::Block,
-        MechLayout::Wide,
-    ))];
-    if modes <= semlock::mech::DWCAS_MODE_LIMIT {
-        backends.push(Box::new(Mech::with_layout(
-            modes,
-            WaitStrategy::Block,
-            MechLayout::Dwcas,
-        )));
+/// Does `backend` serve a partition of `modes` modes? The words have a
+/// mode-count ceiling (packed ≤ 8, Dwcas ≤ 16); construction above it
+/// panics.
+fn serves(backend: AdmissionBackend, modes: usize) -> bool {
+    match backend {
+        AdmissionBackend::Packed => modes <= PACKED_MODE_LIMIT,
+        AdmissionBackend::Dwcas => modes <= DWCAS_MODE_LIMIT,
+        _ => true,
     }
-    if modes <= semlock::mech::PACKED_MODE_LIMIT {
-        backends.push(Box::new(Mech::with_layout(
-            modes,
-            WaitStrategy::Block,
-            MechLayout::Packed,
-        )));
-    }
-    backends.push(Box::new(ConflictGraphBackend::new(
-        conflicts.to_vec(),
-        WaitStrategy::Block,
-    )));
-    backends.push(Box::new(OptimisticHybridBackend::new(
-        modes,
-        WaitStrategy::Block,
-    )));
-    backends
 }
 
-/// Replay one seeded schedule against every registered backend that
-/// serves `modes`, asserting identical outcomes at every step and
-/// identical final balance. The wide counters-under-mutex mech is the
-/// oracle; every other backend — lock-free word, conflict graph or
-/// hybrid — must agree with it and, transitively, with each other.
+/// One blocking [`Mech`] per representation that serves a partition of
+/// `modes` modes. The first element is always the wide
+/// counters-under-mutex mech — the conformance oracle the others are
+/// checked against.
+fn conformance_mechs(modes: usize) -> Vec<Mech> {
+    AdmissionBackend::CONCRETE
+        .into_iter()
+        .filter(|&b| serves(b, modes))
+        .map(|b| Mech::with_backend(modes, WaitStrategy::Block, b))
+        .collect()
+}
+
+/// Replay one seeded schedule against every representation that serves
+/// `modes`, asserting identical outcomes at every step, identical final
+/// balance and identical statistics. The wide counters-under-mutex mech
+/// is the oracle; each admission word must agree with it and,
+/// transitively, with the other.
 fn replay_schedule(modes: usize, steps: &[Step]) {
     let conflicts = conflict_lists(modes, 0xC0FFEE);
-    let backends = conformance_backends(modes, &conflicts);
-    let (wide, others) = backends.split_first().unwrap();
+    let mechs = conformance_mechs(modes);
+    let (wide, others) = mechs.split_first().unwrap();
+    assert_eq!(wide.backend(), AdmissionBackend::Wide);
     for (i, &step) in steps.iter().enumerate() {
         match step {
             Step::TryLock(m) => {
@@ -109,14 +92,14 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
                 let w = wide.try_lock(m, ConflictSet::new(cs));
                 for b in others {
                     let p = b.try_lock(m, ConflictSet::new(cs));
-                    assert_eq!(p, w, "step {i}: {} try_lock({m}) diverged", b.name());
+                    assert_eq!(p, w, "step {i}: {} try_lock({m}) diverged", b.backend());
                 }
             }
             Step::Unlock(m) => {
                 let w = wide.unlock(m);
                 for b in others {
                     let p = b.unlock(m);
-                    assert_eq!(p, w, "step {i}: {} unlock({m}) diverged", b.name());
+                    assert_eq!(p, w, "step {i}: {} unlock({m}) diverged", b.backend());
                 }
             }
             Step::Expired(m) => {
@@ -131,7 +114,7 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
                         p,
                         w,
                         "step {i}: {} expired lock_deadline({m}) diverged",
-                        b.name()
+                        b.backend()
                     );
                 }
             }
@@ -142,7 +125,7 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
                     b.count(m),
                     wide.count(m),
                     "step {i}: {} count({m}) diverged",
-                    b.name()
+                    b.backend()
                 );
             }
         }
@@ -151,29 +134,24 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
     let ws = wide.stats();
     for b in others {
         let ps = b.stats();
-        assert_eq!(
-            ps.acquisitions.load(Ordering::Relaxed),
-            ws.acquisitions.load(Ordering::Relaxed),
-            "{}: acquisition totals diverged",
-            b.name()
-        );
-        assert_eq!(
-            ps.timeouts.load(Ordering::Relaxed),
-            ws.timeouts.load(Ordering::Relaxed),
-            "{}: timeout totals diverged",
-            b.name()
-        );
-        assert_eq!(
-            ps.underflows.load(Ordering::Relaxed),
-            ws.underflows.load(Ordering::Relaxed),
-            "{}: underflow totals diverged",
-            b.name()
-        );
+        for (name, p, w) in [
+            ("acquisition", &ps.acquisitions, &ws.acquisitions),
+            ("contended", &ps.contended, &ws.contended),
+            ("timeout", &ps.timeouts, &ws.timeouts),
+            ("underflow", &ps.underflows, &ws.underflows),
+        ] {
+            assert_eq!(
+                p.load(Ordering::Relaxed),
+                w.load(Ordering::Relaxed),
+                "{}: {name} totals diverged",
+                b.backend()
+            );
+        }
         assert_eq!(b.held_total(), wide.held_total());
         assert!(
             !b.waiter_summary(),
             "{}: waiter summary left set by a sequential schedule",
-            b.name()
+            b.backend()
         );
     }
 }
@@ -181,8 +159,7 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Identical seeded schedules drive every registered backend —
-    /// packed, Dwcas, wide, conflict-graph and optimistic-hybrid — to
+    /// Identical seeded schedules drive packed, Dwcas and wide to
     /// identical admission/refusal/balance outcomes, step by step. Mode
     /// counts above 8 drop packed (it cannot represent them) but keep
     /// exercising the rest, including modes in the high 64-bit half of
@@ -209,8 +186,8 @@ proptest! {
 
 /// Threaded flavour of the equivalence check: the same seeded chaos
 /// schedule (per-thread RNG streams of lock/unlock pairs) runs against
-/// every registered backend; totals must balance identically even
-/// though interleavings differ.
+/// every representation; totals must balance identically even though
+/// interleavings differ.
 #[test]
 fn all_backends_balance_under_threads() {
     use rand::{Rng, SeedableRng};
@@ -219,9 +196,9 @@ fn all_backends_balance_under_threads() {
     const OPS: usize = 2_000;
     let modes = 6usize;
     let conflicts = Arc::new(conflict_lists(modes, 7));
-    for backend in conformance_backends(modes, &conflicts) {
-        let backend: Arc<dyn Admission> = Arc::from(backend);
-        let name = backend.name();
+    for backend in conformance_mechs(modes) {
+        let backend = Arc::new(backend);
+        let name = backend.backend();
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let backend = Arc::clone(&backend);
@@ -261,9 +238,9 @@ fn all_backends_balance_under_threads() {
 #[test]
 fn release_wakeup_is_never_lost() {
     const ROUNDS: usize = 3_000;
-    for backend in conformance_backends(1, &[vec![0]]) {
-        let backend: Arc<dyn Admission> = Arc::from(backend);
-        let name = backend.name();
+    for backend in conformance_mechs(1) {
+        let backend = Arc::new(backend);
+        let name = backend.backend();
         let (done_tx, done_rx) = mpsc::channel::<()>();
         let workers: Vec<_> = (0..2)
             .map(|_| {
@@ -345,21 +322,21 @@ fn claim_stack_survives_tag_wraparound() {
 }
 
 /// `WaitBudget::DontWait` regression: a failing `try_lock` must be a
-/// side-effect-free probe on every backend. The earlier packed
+/// side-effect-free probe on every representation. The earlier packed
 /// implementation routed it through the waiting path and transiently
 /// published the WAITERS bit, which a concurrent releaser could consume
 /// — waking nobody and losing the real waiter's handoff. Here a real
 /// waiter parks, then a barrage of failing probes runs; the waiter's
 /// published summary (waiter bit for the word layouts, the registered
-/// waiter count for the graph backend) must survive untouched and the
+/// waiter count for the wide counters) must survive untouched and the
 /// waiter must still be woken by the actual release.
 #[test]
 fn dontwait_probe_is_side_effect_free() {
     // Two modes in mutual (but not self) conflict: the holder takes 0,
     // the waiter parks on 1, probes hammer 1.
-    for backend in conformance_backends(2, &[vec![1], vec![0]]) {
-        let backend: Arc<dyn Admission> = Arc::from(backend);
-        let name = backend.name();
+    for backend in conformance_mechs(2) {
+        let backend = Arc::new(backend);
+        let name = backend.backend();
         backend.lock(0, ConflictSet::new(&[1]));
         let waiter = {
             let backend = Arc::clone(&backend);
@@ -403,9 +380,13 @@ fn sixteen_mode_partition_is_lock_free_under_auto() {
     let modes = 16usize;
     let mech = Arc::new(Mech::new(modes, WaitStrategy::Block));
     if semlock::dwcas::dwcas_available() {
-        assert_eq!(mech.layout(), MechLayout::Dwcas, "Auto left 16 modes wide");
+        assert_eq!(
+            mech.backend(),
+            AdmissionBackend::Dwcas,
+            "Auto left 16 modes wide"
+        );
     } else {
-        assert_eq!(mech.layout(), MechLayout::Wide);
+        assert_eq!(mech.backend(), AdmissionBackend::Wide);
     }
     let conflicts = Arc::new(conflict_lists(modes, 0xD1CE));
     std::thread::scope(|scope| {
@@ -440,7 +421,7 @@ fn sixteen_mode_partition_is_lock_free_under_auto() {
 }
 
 // ---------------------------------------------------------------------
-// The unified acquisition API, exercised over every admission backend.
+// The unified acquisition API, exercised over every representation.
 // ---------------------------------------------------------------------
 
 fn table() -> (Arc<ModeTable>, LockSiteId) {
@@ -470,14 +451,13 @@ fn table() -> (Arc<ModeTable>, LockSiteId) {
     (b.build(), site)
 }
 
-/// One `SemLock` per registered backend (plus `Auto`), skipping word
-/// layouts whose mode ceiling the table's largest partition exceeds —
-/// the same refusal the backend config applies.
+/// One `SemLock` per representation (plus `Auto`), skipping words whose
+/// mode ceiling the table's largest partition exceeds.
 fn locks_for_all_backends(t: &Arc<ModeTable>) -> Vec<SemLock> {
     let largest = t.partition_sizes().iter().copied().max().unwrap_or(0) as usize;
     std::iter::once(AdmissionBackend::Auto)
         .chain(AdmissionBackend::CONCRETE)
-        .filter(|b| b.max_modes().is_none_or(|limit| largest <= limit))
+        .filter(|&b| serves(b, largest))
         .map(|b| SemLock::with_backend(t.clone(), WaitStrategy::Block, b))
         .collect()
 }

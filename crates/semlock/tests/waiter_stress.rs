@@ -10,7 +10,7 @@
 //! `SEMLOCK_STRESS_ROUNDS` scales the per-thread round count so the CI
 //! soak job can push much harder than the default `cargo test` run.
 
-use semlock::mech::{Acquire, ConflictSet, Mech, MechLayout, Wait, WaitStrategy};
+use semlock::mech::{Acquire, AdmissionBackend, ConflictSet, Mech, Wait, WaitStrategy};
 use semlock::stack::WaiterStack;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,8 +118,12 @@ fn stale_nodes_are_swept_not_leaked() {
 fn mech_handoff_stress_all_layouts() {
     const THREADS: u64 = 8;
     let rounds = stress_rounds();
-    for layout in [MechLayout::Packed, MechLayout::Dwcas, MechLayout::Wide] {
-        let mech = Arc::new(Mech::with_layout(2, WaitStrategy::Block, layout));
+    for layout in [
+        AdmissionBackend::Packed,
+        AdmissionBackend::Dwcas,
+        AdmissionBackend::Wide,
+    ] {
+        let mech = Arc::new(Mech::with_backend(2, WaitStrategy::Block, layout));
         let held = Arc::new(AtomicU64::new(0));
         let successes = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {

@@ -22,7 +22,7 @@ use semlock::mode::{LockSiteId, ModeTable};
 use semlock::phi::Phi;
 use semlock::txn::Txn;
 use semlock::value::Value;
-use semlock::{AcquireSpec, AdmissionBackend};
+use semlock::AcquireSpec;
 use std::sync::Arc;
 use synth::Synthesizer;
 
@@ -59,26 +59,6 @@ impl ComputeIfAbsent {
 
     /// Create with an explicit φ (used by the φ-resolution ablation).
     pub fn with_phi(kind: SyncKind, key_range: u64, phi: Phi) -> ComputeIfAbsent {
-        Self::with_phi_backend(kind, key_range, phi, AdmissionBackend::Auto)
-    }
-
-    /// Create with an explicit admission backend (used by the
-    /// cross-backend bench table).
-    pub fn with_backend(
-        kind: SyncKind,
-        key_range: u64,
-        backend: AdmissionBackend,
-    ) -> ComputeIfAbsent {
-        Self::with_phi_backend(kind, key_range, Phi::fib(64), backend)
-    }
-
-    /// Create with an explicit φ and admission backend.
-    pub fn with_phi_backend(
-        kind: SyncKind,
-        key_range: u64,
-        phi: Phi,
-        backend: AdmissionBackend,
-    ) -> ComputeIfAbsent {
         let out = Synthesizer::new(registry())
             .phi(phi)
             .synthesize(&[cia_section()]);
@@ -91,7 +71,7 @@ impl ComputeIfAbsent {
             key_range,
             map: MapAdt::new(),
             v8: V8Map::new(64),
-            sem_lock: SemLock::builder(table.clone()).backend(backend).build(),
+            sem_lock: SemLock::new(table.clone()),
             sem_table: table,
             sem_site: site,
             sem_site_id: site_id,

@@ -252,7 +252,7 @@ fn dump_tapes(path: &str, out: &synth::SynthOutput, to_stderr: bool) {
             .max()
             .unwrap_or(0)
             .max("pre-opt".len());
-        let _ = writeln!(buf, "  {:<width$} | {}", "pre-opt", "post-opt");
+        let _ = writeln!(buf, "  {:<width$} | post-opt", "pre-opt");
         for i in 0..left.len().max(right.len()) {
             let l = left.get(i).map(String::as_str).unwrap_or("");
             let r = right.get(i).map(String::as_str).unwrap_or("");

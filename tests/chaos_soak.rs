@@ -183,39 +183,25 @@ mod interp_soak {
     }
 }
 
-/// Claim-stack handoff under chaos-scale contention, on every admission
-/// backend. All threads fight over one self-conflicting mode with a mix
+/// Park/handoff under chaos-scale contention, on every counter
+/// representation. All threads fight over one self-conflicting mode with a mix
 /// of unbounded and tightly-bounded acquisitions, so the soak
 /// interleaves parked waiters, timed-out stale nodes, and back-to-back
 /// handoffs. The CI `chaos-soak` job raises `SEMLOCK_CHAOS_OPS` to push
 /// this hard.
 mod waiter_handoff_soak {
     use super::*;
-    use semlock::admission::{Admission, ConflictGraphBackend, OptimisticHybridBackend};
-    use semlock::mech::{Acquire, ConflictSet, Mech, MechLayout, Wait, WaitStrategy};
+    use semlock::mech::{Acquire, AdmissionBackend, ConflictSet, Mech, Wait, WaitStrategy};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
 
     #[test]
     fn backend_soak_balances_and_leaks_nothing() {
         let ops = chaos_ops();
-        let backends: Vec<Arc<dyn Admission>> = vec![
-            Arc::new(Mech::with_layout(
-                2,
-                WaitStrategy::Block,
-                MechLayout::Packed,
-            )),
-            Arc::new(Mech::with_layout(2, WaitStrategy::Block, MechLayout::Dwcas)),
-            Arc::new(Mech::with_layout(2, WaitStrategy::Block, MechLayout::Wide)),
-            // Mode 0 conflicts with itself; mode 1 is a bystander.
-            Arc::new(ConflictGraphBackend::new(
-                vec![vec![0], Vec::new()],
-                WaitStrategy::Block,
-            )),
-            Arc::new(OptimisticHybridBackend::new(2, WaitStrategy::Block)),
-        ];
-        for mech in backends {
-            let name = mech.name();
+        // Mode 0 conflicts with itself; mode 1 is a bystander.
+        for backend in AdmissionBackend::CONCRETE {
+            let mech = Arc::new(Mech::with_backend(2, WaitStrategy::Block, backend));
+            let name = mech.backend();
             let held = Arc::new(AtomicU64::new(0));
             std::thread::scope(|scope| {
                 for t in 0..8u64 {

@@ -52,37 +52,30 @@ fn guard() -> MutexGuard<'static, ()> {
 /// spotless at quiescence (no holds, no waiter nodes, no summary bit).
 #[test]
 fn retry_counters_balance_over_dwcas_claim_stack() {
-    use semlock::mech::{Mech, MechLayout, WaitStrategy};
-    retry_balance_soak(Arc::new(Mech::with_layout(
+    use semlock::mech::{AdmissionBackend, Mech, WaitStrategy};
+    retry_balance_soak(Arc::new(Mech::with_backend(
         16,
         WaitStrategy::Block,
-        MechLayout::Dwcas,
+        AdmissionBackend::Dwcas,
     )));
 }
 
-/// The same abort-retry balance obligation holds for the non-word
-/// admission backends: the conflict-graph transcription and the
-/// optimistic try-then-block hybrid must keep the global retry/
-/// escalation counters in exact balance with locally observed aborts
-/// and come out spotless at quiescence.
+/// The same abort-retry balance obligation on the wide counters — the
+/// representation every `server_*` shard runs on: bounded probes, then
+/// the mutex/condvar park, must keep the global retry/escalation
+/// counters in exact balance with locally observed aborts and come out
+/// spotless at quiescence.
 #[test]
-fn retry_counters_balance_on_graph_and_hybrid() {
-    use semlock::admission::{ConflictGraphBackend, OptimisticHybridBackend};
-    use semlock::mech::WaitStrategy;
-    // 16 modes; only mode 15 conflicts (with itself), as in the word run.
-    let mut rows = vec![Vec::new(); 16];
-    rows[15] = vec![15u32];
-    retry_balance_soak(Arc::new(ConflictGraphBackend::new(
-        rows,
-        WaitStrategy::Block,
-    )));
-    retry_balance_soak(Arc::new(OptimisticHybridBackend::new(
+fn retry_counters_balance_over_wide_probe_then_park() {
+    use semlock::mech::{AdmissionBackend, Mech, WaitStrategy};
+    retry_balance_soak(Arc::new(Mech::with_backend(
         16,
         WaitStrategy::Block,
+        AdmissionBackend::Wide,
     )));
 }
 
-fn retry_balance_soak(mech: Arc<dyn semlock::Admission>) {
+fn retry_balance_soak(mech: Arc<semlock::mech::Mech>) {
     use semlock::error::LockError;
     use semlock::mech::{Acquire, ConflictSet, Wait};
     use semlock::retry::RetryOutcome;

@@ -56,8 +56,8 @@ fn check_json_v2_structure() {
     // The ordering-audit table carries the full site catalog with at
     // least the six seeded mutants the model checker must refute.
     for site in [
-        "packed.admit.cas_ok",
-        "packed.release.cas_ok",
+        "word.admit.cas_ok",
+        "word.release.cas_ok",
         "wide.waiter.rmw",
         "wide.conflict.load",
         "wide.release.rmw",
