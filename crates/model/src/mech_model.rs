@@ -4,8 +4,8 @@
 //! blocking-strategy paths of `semlock::mech::Mech` (admit try → bounded
 //! probes → park: one-word admission with the claim-based waiter-stack
 //! handoff, written once over the word's width exactly as the runtime
-//! writes it — [`PackedMech`] is the 64-bit instance, [`DwcasMech`] the
-//! 128-bit one; wide per-mode counters with the registered-waiter
+//! writes it — [`PackedMech`] is the 64-bit instance, `WordMech<AtomicU128>`
+//! the Dwcas one; wide per-mode counters with the registered-waiter
 //! store-buffering protocol), written against [`crate::sync`] instead of
 //! `semlock::sync`. The field math (`WordInt`, `field_shift`, `field_of`,
 //! `waiters_bit`, `FIELD_MAX`) is imported from `semlock` itself, and
@@ -39,117 +39,68 @@ use crate::sync::{AtomicU128, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use semlock::mech::{field_of, field_shift, ordering as ord, waiters_bit, WordInt, FIELD_MAX};
 use std::sync::Arc;
 
-/// Every audited memory ordering of the admission protocol, one field
-/// per `ORDERING_AUDIT` site.
-#[derive(Clone, Copy, Debug)]
-pub struct OrderingProfile {
-    /// `word.admit.load`
-    pub word_admit_load: Ordering,
-    /// `word.admit.cas_ok`
-    pub word_admit_cas_ok: Ordering,
-    /// `word.admit.cas_fail`
-    pub word_admit_cas_fail: Ordering,
-    /// `word.release.load`
-    pub word_release_load: Ordering,
-    /// `word.release.cas_ok`
-    pub word_release_cas_ok: Ordering,
-    /// `word.release.cas_fail`
-    pub word_release_cas_fail: Ordering,
-    /// `stack.push.head_load`
-    pub stack_push_head_load: Ordering,
-    /// `stack.push.next_store`
-    pub stack_next_store: Ordering,
-    /// `stack.push.cas_ok`
-    pub stack_push_cas_ok: Ordering,
-    /// `stack.push.cas_fail`
-    pub stack_push_cas_fail: Ordering,
-    /// `stack.summary.fetch_or`
-    pub stack_summary_fetch_or: Ordering,
-    /// `stack.summary.clear`
-    pub stack_summary_clear: Ordering,
-    /// `stack.peek.head_load`
-    pub stack_peek_head_load: Ordering,
-    /// `stack.claim.head_load`
-    pub stack_claim_head_load: Ordering,
-    /// `stack.claim.cas_ok`
-    pub stack_claim_cas_ok: Ordering,
-    /// `stack.claim.cas_fail`
-    pub stack_claim_cas_fail: Ordering,
-    /// `stack.claim.next_load`
-    pub stack_next_load: Ordering,
-    /// `wide.waiter.rmw`
-    pub wide_waiter_rmw: Ordering,
-    /// `wide.conflict.load`
-    pub wide_conflict_load: Ordering,
-    /// `wide.release.rmw`
-    pub wide_release_rmw: Ordering,
-    /// `wide.waiters.load`
-    pub wide_waiters_load: Ordering,
+/// Declare [`OrderingProfile`] from one list of `field = CONSTANT @
+/// "audit.site"` rows: the struct (one field per `ORDERING_AUDIT` site),
+/// its default (every field the shipped `semlock::mech::ordering`
+/// constant) and the by-name override the mutant catalog uses.
+macro_rules! ordering_profile {
+    ($($field:ident = $konst:ident @ $site:literal),* $(,)?) => {
+        /// Every audited memory ordering of the admission protocol, one
+        /// field per `ORDERING_AUDIT` site.
+        #[derive(Clone, Copy, Debug)]
+        pub struct OrderingProfile {
+            $(#[doc = $site] pub $field: Ordering,)*
+        }
+
+        impl Default for OrderingProfile {
+            /// The shipped protocol: every field is the corresponding
+            /// `semlock::mech::ordering` constant.
+            fn default() -> OrderingProfile {
+                OrderingProfile { $($field: ord::$konst,)* }
+            }
+        }
+
+        impl OrderingProfile {
+            /// Override one audited site by its `ORDERING_AUDIT` name.
+            ///
+            /// Panics on an unknown site so a renamed audit entry cannot
+            /// silently turn a mutant test into a no-op.
+            pub fn with_site(mut self, site: &str, o: Ordering) -> OrderingProfile {
+                match site {
+                    $($site => self.$field = o,)*
+                    other => panic!("unknown ORDERING_AUDIT site {other:?}"),
+                }
+                self
+            }
+        }
+    };
 }
 
-impl Default for OrderingProfile {
-    /// The shipped protocol: every field is the corresponding
-    /// `semlock::mech::ordering` constant.
-    fn default() -> OrderingProfile {
-        OrderingProfile {
-            word_admit_load: ord::WORD_ADMIT_LOAD,
-            word_admit_cas_ok: ord::WORD_ADMIT_CAS_OK,
-            word_admit_cas_fail: ord::WORD_ADMIT_CAS_FAIL,
-            word_release_load: ord::WORD_RELEASE_LOAD,
-            word_release_cas_ok: ord::WORD_RELEASE_CAS_OK,
-            word_release_cas_fail: ord::WORD_RELEASE_CAS_FAIL,
-            stack_push_head_load: ord::STACK_PUSH_HEAD_LOAD,
-            stack_next_store: ord::STACK_NEXT_STORE,
-            stack_push_cas_ok: ord::STACK_PUSH_CAS_OK,
-            stack_push_cas_fail: ord::STACK_PUSH_CAS_FAIL,
-            stack_summary_fetch_or: ord::STACK_SUMMARY_FETCH_OR,
-            stack_summary_clear: ord::STACK_SUMMARY_CLEAR,
-            stack_peek_head_load: ord::STACK_PEEK_HEAD_LOAD,
-            stack_claim_head_load: ord::STACK_CLAIM_HEAD_LOAD,
-            stack_claim_cas_ok: ord::STACK_CLAIM_CAS_OK,
-            stack_claim_cas_fail: ord::STACK_CLAIM_CAS_FAIL,
-            stack_next_load: ord::STACK_NEXT_LOAD,
-            wide_waiter_rmw: ord::WIDE_WAITER_RMW,
-            wide_conflict_load: ord::WIDE_CONFLICT_LOAD,
-            wide_release_rmw: ord::WIDE_RELEASE_RMW,
-            wide_waiters_load: ord::WIDE_WAITERS_LOAD,
-        }
-    }
+ordering_profile! {
+    word_admit_load = WORD_ADMIT_LOAD @ "word.admit.load",
+    word_admit_cas_ok = WORD_ADMIT_CAS_OK @ "word.admit.cas_ok",
+    word_admit_cas_fail = WORD_ADMIT_CAS_FAIL @ "word.admit.cas_fail",
+    word_release_load = WORD_RELEASE_LOAD @ "word.release.load",
+    word_release_cas_ok = WORD_RELEASE_CAS_OK @ "word.release.cas_ok",
+    word_release_cas_fail = WORD_RELEASE_CAS_FAIL @ "word.release.cas_fail",
+    stack_push_head_load = STACK_PUSH_HEAD_LOAD @ "stack.push.head_load",
+    stack_next_store = STACK_NEXT_STORE @ "stack.push.next_store",
+    stack_push_cas_ok = STACK_PUSH_CAS_OK @ "stack.push.cas_ok",
+    stack_push_cas_fail = STACK_PUSH_CAS_FAIL @ "stack.push.cas_fail",
+    stack_summary_fetch_or = STACK_SUMMARY_FETCH_OR @ "stack.summary.fetch_or",
+    stack_summary_clear = STACK_SUMMARY_CLEAR @ "stack.summary.clear",
+    stack_peek_head_load = STACK_PEEK_HEAD_LOAD @ "stack.peek.head_load",
+    stack_claim_head_load = STACK_CLAIM_HEAD_LOAD @ "stack.claim.head_load",
+    stack_claim_cas_ok = STACK_CLAIM_CAS_OK @ "stack.claim.cas_ok",
+    stack_claim_cas_fail = STACK_CLAIM_CAS_FAIL @ "stack.claim.cas_fail",
+    stack_next_load = STACK_NEXT_LOAD @ "stack.claim.next_load",
+    wide_waiter_rmw = WIDE_WAITER_RMW @ "wide.waiter.rmw",
+    wide_conflict_load = WIDE_CONFLICT_LOAD @ "wide.conflict.load",
+    wide_release_rmw = WIDE_RELEASE_RMW @ "wide.release.rmw",
+    wide_waiters_load = WIDE_WAITERS_LOAD @ "wide.waiters.load",
 }
 
 impl OrderingProfile {
-    /// Override one audited site by its `ORDERING_AUDIT` name.
-    ///
-    /// Panics on an unknown site so a renamed audit entry cannot
-    /// silently turn a mutant test into a no-op.
-    pub fn with_site(mut self, site: &str, o: Ordering) -> OrderingProfile {
-        match site {
-            "word.admit.load" => self.word_admit_load = o,
-            "word.admit.cas_ok" => self.word_admit_cas_ok = o,
-            "word.admit.cas_fail" => self.word_admit_cas_fail = o,
-            "word.release.load" => self.word_release_load = o,
-            "word.release.cas_ok" => self.word_release_cas_ok = o,
-            "word.release.cas_fail" => self.word_release_cas_fail = o,
-            "stack.push.head_load" => self.stack_push_head_load = o,
-            "stack.push.next_store" => self.stack_next_store = o,
-            "stack.push.cas_ok" => self.stack_push_cas_ok = o,
-            "stack.push.cas_fail" => self.stack_push_cas_fail = o,
-            "stack.summary.fetch_or" => self.stack_summary_fetch_or = o,
-            "stack.summary.clear" => self.stack_summary_clear = o,
-            "stack.peek.head_load" => self.stack_peek_head_load = o,
-            "stack.claim.head_load" => self.stack_claim_head_load = o,
-            "stack.claim.cas_ok" => self.stack_claim_cas_ok = o,
-            "stack.claim.cas_fail" => self.stack_claim_cas_fail = o,
-            "stack.claim.next_load" => self.stack_next_load = o,
-            "wide.waiter.rmw" => self.wide_waiter_rmw = o,
-            "wide.conflict.load" => self.wide_conflict_load = o,
-            "wide.release.rmw" => self.wide_release_rmw = o,
-            "wide.waiters.load" => self.wide_waiters_load = o,
-            other => panic!("unknown ORDERING_AUDIT site {other:?}"),
-        }
-        self
-    }
-
     /// The seeded mutant catalog: one profile per `ORDERING_AUDIT` entry
     /// that declares a `mutant` ordering (the audited ordering weakened
     /// one notch). The checker must refute every one of these.
@@ -314,7 +265,7 @@ impl ModelStack {
 
 /// A model admission word: the four primitives of the runtime's private
 /// `AdmitWord` trait, over a shim atomic.
-pub trait ModelWord {
+pub trait ModelWord: Send + Sync + 'static {
     /// The integer the word holds (`u64` packed, `u128` Dwcas).
     type Int: WordInt;
     /// A fresh word holding zero.
@@ -390,9 +341,6 @@ pub struct WordMech<W: ModelWord> {
 
 /// The packed (64-bit word) instance.
 pub type PackedMech = WordMech<AtomicU64>;
-
-/// The Dwcas (128-bit word) instance.
-pub type DwcasMech = WordMech<AtomicU128>;
 
 impl<W: ModelWord> WordMech<W> {
     /// A fresh mechanism (all counts zero) whose refused acquisitions

@@ -9,11 +9,12 @@
 //! same scenarios. CI fails if any mutant survives.
 
 use model::mech_model::{
-    group_probe, Admitted, DwcasMech, GroupRollback, OrderingProfile, PackedMech, WideMech,
+    group_probe, Admitted, GroupRollback, ModelWord, OrderingProfile, PackedMech, WideMech,
+    WordMech,
 };
-use model::sync::{thread, AtomicU64, Ordering};
+use model::sync::{thread, AtomicU128, AtomicU64, Ordering};
 use model::{Checker, Stats, Violation, ViolationKind};
-use semlock::mech::{conflict_mask, field_of};
+use semlock::mech::{conflict_mask, field_of, WordInt};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -142,24 +143,28 @@ fn litmus_store_buffering_relaxed_observes_both_zero() {
 // code proves the shipped protocol and refutes every mutant.
 // ---------------------------------------------------------------------
 
-/// Two threads take cross-conflicting packed modes and each increments a
-/// plain (Relaxed) data cell inside the critical section. Checks
-/// admission exclusivity (an in-CS counter), visibility (no lost
-/// update), release refusal of double unlock, and count balance.
-fn packed_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
+/// Two threads take cross-conflicting modes `lo` and `hi` of one
+/// admission word and each increments a plain (Relaxed) data cell inside
+/// the critical section. Checks admission exclusivity (an in-CS
+/// counter), visibility (no lost update), release refusal of double
+/// unlock, and count balance.
+fn word_exclusivity_scenario<W: ModelWord>(
+    profile: OrderingProfile,
+    lo: u32,
+    hi: u32,
+) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = PackedMech::new(profile, PROBES);
+        let mech = WordMech::<W>::new(profile, PROBES);
         let data = Arc::new(AtomicU64::new(0));
         let in_cs = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = [(0u32, 1u32), (1u32, 0u32)]
+        let handles: Vec<_> = [(lo, hi), (hi, lo)]
             .into_iter()
             .map(|(local, other)| {
                 let mech = mech.clone();
                 let data = data.clone();
                 let in_cs = in_cs.clone();
                 thread::spawn(move || {
-                    let mask = conflict_mask(&[other]);
-                    mech.lock(local, mask);
+                    mech.lock(local, conflict_mask(&[other]));
                     assert_eq!(
                         in_cs.fetch_add(1, Ordering::Relaxed),
                         0,
@@ -180,28 +185,56 @@ fn packed_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vi
             2,
             "lost update across releases"
         );
-        assert_eq!(mech.word(), 0, "counts unbalanced after all releases");
-        assert!(!mech.unlock(0), "double unlock must be refused");
+        assert_eq!(
+            mech.word(),
+            W::Int::ZERO,
+            "counts unbalanced after all releases"
+        );
+        assert!(!mech.unlock(lo), "double unlock must be refused");
     })
 }
 
-/// Main holds a packed mode, a spawned waiter wants a conflicting one;
-/// main releases while the waiter may be parking. Any schedule in which
-/// the waiter stays parked after the release is a lost wakeup, reported
-/// as a model deadlock.
-fn packed_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
+/// Main holds mode `lo`, a spawned waiter wants the conflicting `hi`;
+/// main releases while the waiter may be probing or parking. Any schedule
+/// in which the waiter stays parked after the release is a lost wakeup,
+/// reported as a model deadlock.
+fn word_lost_wakeup_scenario<W: ModelWord>(
+    profile: OrderingProfile,
+    lo: u32,
+    hi: u32,
+) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = PackedMech::new(profile, PROBES);
-        mech.lock(0, conflict_mask(&[1]));
+        let mech = WordMech::<W>::new(profile, PROBES);
+        mech.lock(lo, conflict_mask(&[hi]));
         let m2 = mech.clone();
         let waiter = thread::spawn(move || {
-            m2.lock(1, conflict_mask(&[0]));
-            assert!(m2.unlock(1));
+            m2.lock(hi, conflict_mask(&[lo]));
+            assert!(m2.unlock(hi));
         });
-        assert!(mech.unlock(0));
+        assert!(mech.unlock(lo));
         waiter.join();
-        assert_eq!(mech.word(), 0);
+        assert_eq!(mech.word(), W::Int::ZERO);
     })
+}
+
+// The generic scenarios at each width. The Dwcas pair puts its two modes
+// in *different 64-bit halves* (0 and 15) so a torn or half-stale
+// double-word update cannot hide.
+
+fn packed_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
+    word_exclusivity_scenario::<AtomicU64>(profile, 0, 1)
+}
+
+fn packed_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
+    word_lost_wakeup_scenario::<AtomicU64>(profile, 0, 1)
+}
+
+fn dwcas_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
+    word_exclusivity_scenario::<AtomicU128>(profile, 0, 15)
+}
+
+fn dwcas_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
+    word_lost_wakeup_scenario::<AtomicU128>(profile, 0, 15)
 }
 
 /// The same handoff shape on the wide (per-mode counter) mechanism,
@@ -325,64 +358,6 @@ fn wide_probe_drain_scenario(
         assert_eq!(mech.count(0), 0);
         assert_eq!(mech.count(1), 0);
         assert_eq!(mech.waiters(), 0, "a waiter registration was left behind");
-    })
-}
-
-/// The packed exclusivity/visibility scenario transposed onto the Dwcas
-/// word, with the two modes in *different 64-bit halves* (0 and 15) so a
-/// torn or half-stale double-word update cannot hide.
-fn dwcas_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
-    Checker::new().preemption_bound(3).check(move || {
-        let mech = DwcasMech::new(profile, PROBES);
-        let data = Arc::new(AtomicU64::new(0));
-        let in_cs = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = [(0u32, 15u32), (15u32, 0u32)]
-            .into_iter()
-            .map(|(local, other)| {
-                let mech = mech.clone();
-                let data = data.clone();
-                let in_cs = in_cs.clone();
-                thread::spawn(move || {
-                    let mask = conflict_mask(&[other]);
-                    mech.lock(local, mask);
-                    assert_eq!(
-                        in_cs.fetch_add(1, Ordering::Relaxed),
-                        0,
-                        "conflicting dwcas modes held concurrently"
-                    );
-                    let v = data.load(Ordering::Relaxed);
-                    data.store(v + 1, Ordering::Relaxed);
-                    in_cs.fetch_sub(1, Ordering::Relaxed);
-                    assert!(mech.unlock(local), "balanced release refused");
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join();
-        }
-        assert_eq!(
-            data.load(Ordering::Relaxed),
-            2,
-            "lost update across releases"
-        );
-        assert_eq!(mech.word(), 0, "counts unbalanced after all releases");
-        assert!(!mech.unlock(0), "double unlock must be refused");
-    })
-}
-
-/// The lost-wakeup shape on the Dwcas word.
-fn dwcas_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
-    Checker::new().preemption_bound(3).check(move || {
-        let mech = DwcasMech::new(profile, PROBES);
-        mech.lock(0, conflict_mask(&[15]));
-        let m2 = mech.clone();
-        let waiter = thread::spawn(move || {
-            m2.lock(15, conflict_mask(&[0]));
-            assert!(m2.unlock(15));
-        });
-        assert!(mech.unlock(0));
-        waiter.join();
-        assert_eq!(mech.word(), 0);
     })
 }
 

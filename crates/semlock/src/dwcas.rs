@@ -68,18 +68,23 @@ mod imp {
         let prev_hi: u64;
         let ok: u8;
         // LLVM reserves RBX, so the low half of the replacement value is
-        // exchanged in and back out around the instruction.
+        // exchanged in and back out around the instruction. `dst` and the
+        // flag are pinned to RDI and CL: left to the allocator, either may
+        // land in RBX itself — the `xchg` would then replace the address
+        // with `new_lo` before the `cmpxchg16b` dereferences it (seen as a
+        // SIGSEGV in optimized builds), or the final `mov` would overwrite
+        // the flag.
         asm!(
             "xchg {rbx_save}, rbx",
-            "lock cmpxchg16b [{dst}]",
-            "sete {ok}",
+            "lock cmpxchg16b [rdi]",
+            "sete cl",
             "mov rbx, {rbx_save}",
-            dst = in(reg) dst,
             rbx_save = inout(reg) new_lo => _,
-            ok = out(reg_byte) ok,
+            in("rdi") dst,
             inout("rax") old_lo => prev_lo,
             inout("rdx") old_hi => prev_hi,
             in("rcx") new_hi,
+            lateout("cl") ok,
             options(nostack),
         );
         (((prev_hi as u128) << 64) | prev_lo as u128, ok != 0)

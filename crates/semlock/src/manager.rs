@@ -4,9 +4,9 @@
 //! one [`Mech`] per partition of the class's [`ModeTable`] — its counter
 //! representation chosen from the partition's mode count — and exposes
 //! the mode-level `lock` / `unlock` the paper's synchronization API
-//! compiles down to. Every instance carries a process-unique identifier, used both
-//! for the dynamic ordering of same-equivalence-class acquisitions
-//! (`unique(x)` in Fig. 12) and by the protocol checker.
+//! compiles down to. Every instance carries a process-unique identifier,
+//! used both for the dynamic ordering of same-equivalence-class
+//! acquisitions (`unique(x)` in Fig. 12) and by the protocol checker.
 
 use crate::acquire::{AcquireSpec, WaitBudget};
 use crate::error::LockError;

@@ -6,9 +6,10 @@ use std::time::Instant;
 /// before it parks. Chosen on `server_hot` (two workers, two shards,
 /// Zipf 0.99, one 592-mode wide partition per shard): conflicts there
 /// last about as long as the critical section, so re-trying for a few
-/// microseconds beats a futex sleep and wake — 0.94 M → 1.70 M ops/s
-/// against parking at once, with `one_worker_ops_s` and `cia_*`
-/// unchanged (EXPERIMENTS.md "Admission cull").
+/// microseconds beats a futex sleep and wake — 1.01 M → 1.65 M ops/s and
+/// p99 19.6 → 2.7 µs against parking at once, p50 +11 %, with
+/// `one_worker_ops_s` and `cia_1t` unchanged (EXPERIMENTS.md "Admission
+/// cull", ten alternating 20 s pairs).
 pub const OPTIMISTIC_PROBES: u32 = 32;
 
 /// Cap of the probe phase's doubling `spin_loop` pause (1, 2, 4, … 64,

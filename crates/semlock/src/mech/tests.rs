@@ -181,17 +181,23 @@ fn stress_mutual_exclusion_invariant() {
     // Two cross-conflicting modes: counts must never both be positive.
     // We can't observe both atomically from outside, so instead each
     // thread asserts the other's count is zero while it holds its mode.
-    for layout in layouts() {
-        let m = Arc::new(Mech::with_backend(2, WaitStrategy::Block, layout));
+    // The last row puts the two modes in different 64-bit halves of the
+    // Dwcas word — the shape a torn 2×64-bit update would get wrong.
+    let rows = layouts()
+        .map(|layout| (layout, 2, [0u32, 1u32]))
+        .into_iter()
+        .chain([(AdmissionBackend::Dwcas, 16, [0, 15])]);
+    for (layout, modes, pair) in rows {
+        let m = Arc::new(Mech::with_backend(modes, WaitStrategy::Block, layout));
         let iters = 2_000;
         let mut handles = Vec::new();
-        for mode in 0..2u32 {
+        for (mode, other) in [(pair[0], pair[1]), (pair[1], pair[0])] {
             let m = m.clone();
             handles.push(std::thread::spawn(move || {
-                let conflicts = [1 - mode];
+                let conflicts = [other];
                 for _ in 0..iters {
                     m.lock(mode, ConflictSet::new(&conflicts));
-                    assert_eq!(m.count(1 - mode), 0, "both modes held at once");
+                    assert_eq!(m.count(other), 0, "both modes held at once");
                     assert!(m.unlock(mode));
                 }
             }));
@@ -199,11 +205,15 @@ fn stress_mutual_exclusion_invariant() {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(m.count(0) + m.count(1), 0);
+        assert_eq!(m.held_total(), 0, "{layout:?}");
         assert_eq!(
             m.stats().acquisitions.load(Ordering::Relaxed),
             2 * iters as u64
         );
+        // After any amount of contention, quiescence means: nothing
+        // published, zero live waiter nodes (the claim sweeps stale ones).
+        assert!(!m.waiter_summary(), "{layout:?}: summary left published");
+        assert_eq!(m.live_waiter_nodes(), 0, "{layout:?}: waiter nodes leaked");
     }
 }
 
@@ -412,26 +422,34 @@ fn double_unlock_refused_in_every_build() {
 }
 
 #[test]
-fn packed_field_saturation_blocks_instead_of_corrupting() {
+fn field_saturation_blocks_instead_of_corrupting() {
     // 127 holders saturate a 7-bit field; the 128th try_lock must be
-    // refused (it would otherwise carry into the next field), and one
-    // release must re-admit.
-    let m = Mech::with_backend(2, WaitStrategy::Block, AdmissionBackend::Packed);
-    for _ in 0..FIELD_MAX {
-        assert!(m.try_lock(0, ConflictSet::new(&[])));
+    // refused (it would otherwise carry into the next field — for the
+    // topmost field, into the reserved region next to the waiter bit),
+    // and one release must re-admit.
+    for (layout, modes, field, neighbour) in [
+        (AdmissionBackend::Packed, 2, 0, 1),
+        (AdmissionBackend::Packed, 8, 7, 6),
+        (AdmissionBackend::Dwcas, 16, 15, 14),
+    ] {
+        let m = Mech::with_backend(modes, WaitStrategy::Block, layout);
+        for _ in 0..FIELD_MAX {
+            assert!(m.try_lock(field, ConflictSet::new(&[])));
+        }
+        assert_eq!(m.count(field), FIELD_MAX as u32);
+        assert!(
+            !m.try_lock(field, ConflictSet::new(&[])),
+            "{layout:?}: saturated field must refuse admission"
+        );
+        assert_eq!(m.count(neighbour), 0, "neighbour field untouched");
+        assert!(!m.waiter_summary(), "saturation must not publish waiters");
+        assert!(m.unlock(field));
+        assert!(m.try_lock(field, ConflictSet::new(&[])));
+        for _ in 0..FIELD_MAX {
+            assert!(m.unlock(field));
+        }
+        assert_eq!(m.held_total(), 0);
     }
-    assert_eq!(m.count(0), FIELD_MAX as u32);
-    assert!(
-        !m.try_lock(0, ConflictSet::new(&[])),
-        "saturated field must refuse admission"
-    );
-    assert_eq!(m.count(1), 0, "neighbour field untouched by saturation");
-    assert!(m.unlock(0));
-    assert!(m.try_lock(0, ConflictSet::new(&[])));
-    for _ in 0..FIELD_MAX {
-        assert!(m.unlock(0));
-    }
-    assert_eq!(m.held_total(), 0);
 }
 
 #[test]
@@ -659,86 +677,6 @@ fn field_math_holds_at_both_widths() {
     let m = conflict_mask(&[0, 3, 7]);
     assert_eq!(m >> 64, 0);
     assert_eq!(u64::truncate(m) as u128, m);
-}
-
-#[test]
-fn dwcas_field_saturation_blocks_instead_of_corrupting() {
-    // The Dwcas twin of the packed saturation test, on the topmost
-    // field (15) so a carry would have to escape into the reserved
-    // region next to the waiter bit.
-    let m = Mech::with_backend(16, WaitStrategy::Block, AdmissionBackend::Dwcas);
-    for _ in 0..FIELD_MAX {
-        assert!(m.try_lock(15, ConflictSet::new(&[])));
-    }
-    assert_eq!(m.count(15), FIELD_MAX as u32);
-    assert!(
-        !m.try_lock(15, ConflictSet::new(&[])),
-        "saturated field must refuse admission"
-    );
-    assert_eq!(m.count(14), 0, "neighbour field untouched by saturation");
-    assert!(!m.waiter_summary(), "saturation must not publish waiters");
-    assert!(m.unlock(15));
-    assert!(m.try_lock(15, ConflictSet::new(&[])));
-    for _ in 0..FIELD_MAX {
-        assert!(m.unlock(15));
-    }
-    assert_eq!(m.held_total(), 0);
-}
-
-#[test]
-fn dwcas_high_and_low_modes_exclude_each_other() {
-    // Cross-word-half conflict: mode 15 (high u64 half of the 128-bit
-    // word) vs mode 0 (low half) — the shape a torn non-atomic
-    // 2×64-bit update would get wrong.
-    let m = Arc::new(Mech::with_backend(
-        16,
-        WaitStrategy::Block,
-        AdmissionBackend::Dwcas,
-    ));
-    let iters = 2_000;
-    let mut handles = Vec::new();
-    for (mode, other) in [(0u32, 15u32), (15, 0)] {
-        let m = m.clone();
-        handles.push(std::thread::spawn(move || {
-            let conflicts = [other];
-            for _ in 0..iters {
-                m.lock(mode, ConflictSet::new(&conflicts));
-                assert_eq!(m.count(other), 0, "both modes held at once");
-                assert!(m.unlock(mode));
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(m.held_total(), 0);
-    assert_eq!(m.live_waiter_nodes(), 0, "waiter nodes leaked");
-}
-
-#[test]
-fn contended_stack_path_leaves_no_nodes_or_summary_behind() {
-    // After any amount of contention, quiescence means: summary bit
-    // clear, zero live waiter nodes (the claim sweeps stale ones).
-    for layout in [AdmissionBackend::Packed, AdmissionBackend::Dwcas] {
-        let m = Arc::new(Mech::with_backend(2, WaitStrategy::Block, layout));
-        let mut handles = Vec::new();
-        for mode in 0..2u32 {
-            let m = m.clone();
-            handles.push(std::thread::spawn(move || {
-                let conflicts = [1 - mode];
-                for _ in 0..2_000 {
-                    m.lock(mode, ConflictSet::new(&conflicts));
-                    assert!(m.unlock(mode));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.held_total(), 0, "{layout:?}");
-        assert!(!m.waiter_summary(), "{layout:?}: summary bit left set");
-        assert_eq!(m.live_waiter_nodes(), 0, "{layout:?}: waiter nodes leaked");
-    }
 }
 
 #[test]
