@@ -703,63 +703,77 @@ struct WorkloadResult {
     telemetry: Option<TelemetrySummary>,
 }
 
+/// What the telemetry counters hold for one workload: sums over its
+/// `(site, mode)` cells, next to the lock's own count for the same span.
 struct TelemetrySummary {
-    events: u64,
-    dropped: u64,
-    /// Fraction of recorded events the ring overwrote before collection:
-    /// `dropped / (events + dropped)`, 0 when nothing was recorded. The
-    /// pressure signal `SEMLOCK_TELEMETRY_CAP` is meant to be tuned
-    /// against.
-    drop_ratio: f64,
+    acquires: u64,
+    admits: u64,
+    releases: u64,
+    /// Boundaries the counters could not attribute to a cell.
+    overflow: u64,
+    /// Acquisitions the workload's lock counted itself while the counters
+    /// were on — what `admits` must equal ([`check_telemetry`]).
+    lock_acquisitions: u64,
     sites: usize,
     contended_acquires: u64,
     total_wait_ns: u64,
     max_wait_ns: u64,
 }
 
-fn summarize_telemetry(m: &semlock::telemetry::Metrics) -> TelemetrySummary {
-    let mut contended = 0;
-    let mut total_wait = 0;
-    let mut max_wait = 0;
-    for s in m.per_site.values() {
-        contended += s.contended;
-        total_wait += s.total_wait_ns;
-        max_wait = max_wait.max(s.max_wait_ns);
-    }
-    let offered = m.total_events + m.dropped;
-    TelemetrySummary {
-        events: m.total_events,
-        dropped: m.dropped,
-        drop_ratio: if offered == 0 {
-            0.0
-        } else {
-            m.dropped as f64 / offered as f64
-        },
+fn summarize_telemetry(
+    m: &semlock::telemetry::Metrics,
+    lock_acquisitions: u64,
+) -> TelemetrySummary {
+    let mut t = TelemetrySummary {
+        acquires: 0,
+        admits: 0,
+        releases: 0,
+        overflow: m.overflow,
+        lock_acquisitions,
         sites: m.per_site.len(),
-        contended_acquires: contended,
-        total_wait_ns: total_wait,
-        max_wait_ns: max_wait,
+        contended_acquires: 0,
+        total_wait_ns: 0,
+        max_wait_ns: 0,
+    };
+    for s in m.per_site.values() {
+        t.acquires += s.acquires;
+        t.admits += s.admits;
+        t.releases += s.releases;
+        t.contended_acquires += s.contended;
+        t.total_wait_ns += s.total_wait_ns;
+        t.max_wait_ns = t.max_wait_ns.max(s.max_wait_ns);
     }
+    t
+}
+
+/// Zero the counters and switch them on; returns the workload lock's own
+/// acquisition count at that moment.
+fn start_counting(lock_acquisitions: &dyn Fn() -> u64) -> u64 {
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    lock_acquisitions()
 }
 
 /// Collect a per-workload telemetry summary for a semantic-locking
-/// workload. With `--telemetry` the timed pass itself recorded, so
-/// summarize that; otherwise run `sample` — a short, untimed
-/// telemetry-on pass over the same workload — so the summary is always
+/// workload. With `--telemetry` the timed pass itself counted
+/// (`counting_since` is what [`start_counting`] returned before it), so
+/// summarize that; otherwise run `sample` — a short, untimed pass over
+/// the same workload with the counters on — so the summary is always
 /// present in the JSON (the timed numbers stay telemetry-free).
 fn workload_telemetry(
-    timed_pass_recorded: bool,
+    counting_since: Option<u64>,
+    lock_acquisitions: &dyn Fn() -> u64,
     sample: &mut dyn FnMut(),
 ) -> Option<TelemetrySummary> {
-    if !timed_pass_recorded {
-        telemetry::reset();
-        telemetry::set_enabled(true);
+    let since = counting_since.unwrap_or_else(|| {
+        let since = start_counting(lock_acquisitions);
         sample();
-    }
+        since
+    });
     telemetry::set_enabled(false);
     let metrics = semlock::telemetry::Metrics::collect();
     telemetry::reset();
-    Some(summarize_telemetry(&metrics))
+    Some(summarize_telemetry(&metrics, lock_acquisitions() - since))
 }
 
 /// Ops for the untimed telemetry sampling pass: enough to populate every
@@ -780,14 +794,12 @@ fn run_workloads(cfg: &Config) -> Vec<WorkloadResult> {
             // Only the semantic variant goes through `semlock` telemetry;
             // the baselines' entries stay `null`.
             let semantic = kind == SyncKind::Semantic;
-            let with_tel = cfg.telemetry_workloads && semantic;
-            if with_tel {
-                telemetry::reset();
-                telemetry::set_enabled(true);
-            }
+            let lock_acquisitions = || bench.contention().0;
+            let counting_since =
+                (cfg.telemetry_workloads && semantic).then(|| start_counting(&lock_acquisitions));
             let m = measure(threads, cfg.ops, 1, 1, &|t, rng| bench.op(t, rng));
             let tel = if semantic {
-                workload_telemetry(with_tel, &mut || {
+                workload_telemetry(counting_since, &lock_acquisitions, &mut || {
                     measure(threads, TELEMETRY_SAMPLE_OPS, 0, 1, &|t, rng| {
                         bench.op(t, rng)
                     });
@@ -830,13 +842,12 @@ fn run_interp_workload(cfg: &Config, threads: usize, engine: interp::Engine) -> 
             interp.run("counter", &[("map", map), ("k", k)]);
         }
     };
-    let with_tel = cfg.telemetry_workloads;
-    if with_tel {
-        telemetry::reset();
-        telemetry::set_enabled(true);
-    }
+    let lock_acquisitions = || env.resolve(map).sem().contention().0;
+    let counting_since = cfg
+        .telemetry_workloads
+        .then(|| start_counting(&lock_acquisitions));
     let m = measure(threads, cfg.ops.min(20_000), 1, 1, &|_, rng| op(rng));
-    let tel = workload_telemetry(with_tel, &mut || {
+    let tel = workload_telemetry(counting_since, &lock_acquisitions, &mut || {
         measure(threads, TELEMETRY_SAMPLE_OPS, 0, 1, &|_, rng| op(rng));
     });
     let (acq, cont) = env.resolve(map).sem().contention();
@@ -1023,11 +1034,14 @@ fn render_json(
         let tel = match &w.telemetry {
             None => "null".to_string(),
             Some(t) => format!(
-                "{{\"events\": {}, \"dropped\": {}, \"drop_ratio\": {}, \"site_modes\": {}, \
+                "{{\"acquires\": {}, \"admits\": {}, \"releases\": {}, \"overflow\": {}, \
+                 \"lock_acquisitions\": {}, \"site_modes\": {}, \
                  \"contended_acquires\": {}, \"total_wait_ns\": {}, \"max_wait_ns\": {}}}",
-                t.events,
-                t.dropped,
-                fmt_f(t.drop_ratio),
+                t.acquires,
+                t.admits,
+                t.releases,
+                t.overflow,
+                t.lock_acquisitions,
                 t.sites,
                 t.contended_acquires,
                 t.total_wait_ns,
@@ -1361,6 +1375,33 @@ fn check_opt(cfg: &Config, opt_ab: &OptAb) -> bool {
     }
 }
 
+/// The counter tier must account for every acquisition: on each
+/// semantic workload no key was lost to overflow, and the admissions the
+/// threads counted in place equal the acquisitions the lock counted
+/// itself over the same span (each released again). Absolute, so no
+/// baseline or tolerance is involved.
+fn check_telemetry(workloads: &[WorkloadResult]) -> bool {
+    let mut ok = true;
+    for w in workloads {
+        let Some(t) = &w.telemetry else { continue };
+        let exact = t.overflow == 0 && t.admits == t.lock_acquisitions && t.releases == t.admits;
+        eprintln!(
+            "bench_json: telemetry {} x{}: {} acquires, {} admits, {} releases, overflow {} \
+             vs {} lock acquisitions — {}",
+            w.name,
+            w.threads,
+            t.acquires,
+            t.admits,
+            t.releases,
+            t.overflow,
+            t.lock_acquisitions,
+            if exact { "ok" } else { "MISCOUNT" }
+        );
+        ok &= exact;
+    }
+    ok
+}
+
 fn main() {
     let cfg = parse_args();
     telemetry::set_enabled(false);
@@ -1405,6 +1446,7 @@ fn main() {
         & check_interp(&cfg, &interp_ab)
         & check_opt(&cfg, &opt_ab)
         & check_server(&cfg, &server)
+        & check_telemetry(&workloads)
         & check_regressions(&cfg, &measured);
     if !ok {
         std::process::exit(1);

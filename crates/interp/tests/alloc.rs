@@ -4,7 +4,9 @@
 //! engine must not touch the allocator: the register file and `RunState`
 //! buffers are pooled per thread, the returned `Frame` and the attempt-id
 //! trail are inline, the held set is lent to the bounded acquisition as a
-//! slice, and resolving an instance clones nothing. The benchmark can only
+//! slice, and resolving an instance clones nothing. The same holds with
+//! the telemetry counters on: once a thread has counted a `(site, mode)`
+//! key, counting it again is an increment in place. The benchmark can only
 //! show this as time; a counting allocator shows it exactly, on any
 //! machine.
 //!
@@ -116,18 +118,28 @@ fn warm_compiled_requests_do_not_allocate() {
         assert_eq!(run.txns.len(), 1);
         std::hint::black_box(run);
     };
-    for section in ["balance", "transfer", "scan_mutate"] {
-        for i in 0..100 {
-            request(section, i);
+    for counters in [false, true] {
+        semlock::telemetry::set_enabled(counters);
+        for section in ["balance", "transfer", "scan_mutate"] {
+            // The warm-up visits every key the measured requests use, so
+            // with the counters on it also creates every cell they touch.
+            for i in 0..100 {
+                request(section, i);
+            }
+            let before = allocations();
+            for i in 0..1000 {
+                request(section, i);
+            }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "1000 warm `{section}` requests allocated (telemetry counters: {counters})"
+            );
         }
-        let before = allocations();
-        for i in 0..1000 {
-            request(section, i);
-        }
-        assert_eq!(
-            allocations() - before,
-            0,
-            "1000 warm `{section}` requests allocated"
-        );
     }
+    semlock::telemetry::set_enabled(false);
+    let counted = semlock::telemetry::Metrics::collect();
+    let admits: u64 = counted.per_site.values().map(|s| s.admits).sum();
+    assert!(admits >= 3 * 1100, "the counters were on: {admits} admits");
+    assert_eq!(counted.overflow, 0);
 }

@@ -269,7 +269,7 @@ fn check_equivalence(
 ) {
     let _g = tele_guard();
     fault::silence_injected_panics();
-    telemetry::set_enabled(true);
+    telemetry::set_level(telemetry::Level::Trace);
     let env = Arc::new(Env::new(program));
     let m = env.new_instance("Map");
     let s = env.new_instance("Set");
@@ -403,7 +403,7 @@ fn fig7_equivalent_with_faults() {
     // generic harness shape by adapting its argument names.
     let _g = tele_guard();
     fault::silence_injected_panics();
-    telemetry::set_enabled(true);
+    telemetry::set_level(telemetry::Level::Trace);
     let program = synthesize(vec![fig7_section()]);
     let env = Arc::new(Env::new(program));
     let m = env.new_instance("Map");
@@ -534,7 +534,7 @@ fn fig9_wrapper_equivalent() {
     // compiled engine must bind the wrapper pointer and dispatch wrapper
     // methods identically.
     let _g = tele_guard();
-    telemetry::set_enabled(true);
+    telemetry::set_level(telemetry::Level::Trace);
     let program = synthesize(vec![fig9_section()]);
     assert_eq!(program.wrappers.len(), 1);
     let env = Arc::new(Env::new(program));

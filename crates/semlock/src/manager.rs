@@ -12,18 +12,18 @@ use crate::acquire::{AcquireSpec, WaitBudget};
 use crate::error::LockError;
 use crate::mech::{Acquire, AdmissionBackend, Mech, Wait, WaitStrategy};
 use crate::mode::{ModeId, ModePlacement, ModeTable};
-use crate::telemetry::{self, EventKind, WaitCause};
+use crate::telemetry::{self, Acquisition, EventKind};
 use crate::watchdog::{self, TxnId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Elapsed nanoseconds between two [`telemetry::now_ns`] readings
-/// (traced paths read the clock once per event and difference the
-/// readings instead of calling `Instant::elapsed` repeatedly).
-#[inline]
-fn delta_ns(t0_ns: u64, t1_ns: u64) -> u64 {
-    t1_ns.saturating_sub(t0_ns)
+/// Report the terminal of an acquisition that waited — nothing when
+/// telemetry is off (`tele` is `None`).
+fn finish(tele: Option<Acquisition>, kind: EventKind) {
+    if let Some(tele) = tele {
+        tele.finish(kind);
+    }
 }
 
 static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(1);
@@ -202,8 +202,7 @@ impl SemLock {
     /// [`LockError::Poisoned`] rather than a panic. This is what
     /// [`SemLock::acquire`] compiles an unbounded [`AcquireSpec`] down to.
     pub fn lock_checked(&self, mode: ModeId) -> Result<(), LockError> {
-        self.lock_impl(mode)
-            .map_err(|_| LockError::Poisoned { instance: self.id })
+        self.lock_impl(mode).map_err(|_| self.poisoned())
     }
 
     /// Shared core of [`SemLock::lock`]/[`SemLock::lock_checked`]. The
@@ -211,89 +210,99 @@ impl SemLock {
     /// wrapper can keep its two distinct panic messages.
     #[inline]
     fn lock_impl(&self, mode: ModeId) -> Result<(), PoisonStage> {
-        // The traced variant is outlined and `#[cold]` so that with
-        // telemetry off this body stays as small as the pre-telemetry
-        // code and keeps inlining into callers; the whole disabled-path
-        // cost is the one relaxed load + branch. On the packed-word
-        // mechanism the uncontended body below is: poison load, placement
-        // lookup, one admission CAS, poison re-check — no mutex.
-        if telemetry::enabled() {
-            return self.lock_impl_traced(mode);
-        }
-        if self.is_poisoned() {
-            return Err(PoisonStage::Entry);
-        }
         let p = self.table.placement(mode);
-        if p.free {
-            return Ok(()); // commutes with everything: admission can never fail
+        if self.admit_first(mode, p, None)? {
+            Ok(())
+        } else {
+            self.lock_refused(mode, p)
         }
-        self.mechs[p.part as usize].lock(p.local, p.conflicts());
-        // Re-check after admission: the instance may have been poisoned by
-        // a holder that panicked while we were blocked.
+    }
+
+    /// The rest of [`SemLock::lock_impl`] once the first admit try was
+    /// refused: start the telemetry wait clock, sample the holders, wait.
+    #[cold]
+    fn lock_refused(&self, mode: ModeId, p: &ModePlacement) -> Result<(), PoisonStage> {
+        let mut tele = Acquisition::begin(self.id, mode.0, None);
+        if let Some(tele) = &mut tele {
+            tele.refused();
+            self.sample_holders(tele, p);
+        }
+        let mech = &self.mechs[p.part as usize];
+        mech.lock_after_refusal(p.local, p.conflicts());
+        // The instance may have been poisoned by a holder that panicked
+        // while we were blocked.
         if self.is_poisoned() {
-            let _ = self.mechs[p.part as usize].unlock(p.local);
+            let _ = mech.unlock(p.local);
+            finish(tele, EventKind::PoisonRejected);
             return Err(PoisonStage::AfterWait);
         }
+        finish(tele, EventKind::Admit);
         Ok(())
     }
 
-    /// [`SemLock::lock_impl`] with telemetry recording.
+    /// The first step of every acquisition, at every telemetry level: one
+    /// non-blocking admit try, poison checked before and after it.
+    /// `Ok(true)` admitted, `Ok(false)` refused by a conflicting hold
+    /// (nothing changed, nothing reported — the caller goes on to wait or
+    /// to report the refusal).
     ///
-    /// Clock discipline: one [`telemetry::now_ns`] read covers the entry
-    /// event and every outcome that waited nothing (uncontended admit,
-    /// poison rejection at entry); only a path that actually blocked pays
-    /// a second read, which then stamps the outcome event *and* supplies
-    /// the wait duration.
-    #[cold]
-    fn lock_impl_traced(&self, mode: ModeId) -> Result<(), PoisonStage> {
-        let ctx = telemetry::take_context();
-        let t0 = telemetry::now_ns();
-        self.tele(t0, EventKind::AcquireStart, WaitCause::None, ctx, mode, 0);
+    /// Telemetry never changes what this does to the mechanism: the
+    /// outcome is reported afterwards ([`telemetry::report`] — with
+    /// telemetry off one relaxed load and a not-taken branch, the whole
+    /// disabled-path cost). On the packed-word mechanism the uncontended
+    /// body is: poison load, one admission CAS, poison re-check — no
+    /// mutex, no clock.
+    #[inline]
+    fn admit_first(
+        &self,
+        mode: ModeId,
+        p: &ModePlacement,
+        txn: Option<TxnId>,
+    ) -> Result<bool, PoisonStage> {
+        let outcome = self.try_admit(p);
+        match outcome {
+            Ok(true) => telemetry::report(self.id, mode.0, txn, EventKind::Admit),
+            Ok(false) => {}
+            Err(_) => telemetry::report(self.id, mode.0, txn, EventKind::PoisonRejected),
+        }
+        outcome
+    }
+
+    /// The admission of [`SemLock::admit_first`], unreported.
+    #[inline]
+    fn try_admit(&self, p: &ModePlacement) -> Result<bool, PoisonStage> {
         if self.is_poisoned() {
-            self.tele(
-                t0,
-                EventKind::PoisonRejected,
-                WaitCause::Poison,
-                ctx,
-                mode,
-                0,
-            );
             return Err(PoisonStage::Entry);
         }
-        let p = self.table.placement(mode);
+        // A free mode commutes with everything: admission can never fail.
         if p.free {
-            self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-            return Ok(());
+            return Ok(true);
         }
-        self.tele_sample_conflicts(t0, ctx, mode, p);
-        let waited = self.mechs[p.part as usize].lock(p.local, p.conflicts());
+        let mech = &self.mechs[p.part as usize];
+        if !mech.try_lock(p.local, p.conflicts()) {
+            return Ok(false);
+        }
+        // Re-check after admission, as every acquisition path does.
         if self.is_poisoned() {
-            let _ = self.mechs[p.part as usize].unlock(p.local);
-            let t1 = telemetry::now_ns();
-            self.tele(
-                t1,
-                EventKind::PoisonRejected,
-                WaitCause::Poison,
-                ctx,
-                mode,
-                delta_ns(t0, t1),
-            );
+            let _ = mech.unlock(p.local);
             return Err(PoisonStage::AfterWait);
         }
-        if waited {
-            let t1 = telemetry::now_ns();
-            self.tele(
-                t1,
-                EventKind::Admit,
-                WaitCause::Conflict,
-                ctx,
-                mode,
-                delta_ns(t0, t1),
-            );
-        } else {
-            self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-        }
-        Ok(())
+        Ok(true)
+    }
+
+    fn poisoned(&self) -> LockError {
+        LockError::Poisoned { instance: self.id }
+    }
+
+    /// After a refused admit try: one conflict-pair observation per
+    /// conflicting mode currently held. Racy by design — a sample, not an
+    /// admission decision.
+    #[cold]
+    fn sample_holders(&self, tele: &mut Acquisition, p: &ModePlacement) {
+        self.mechs[p.part as usize].held_conflicting(&p.local_conflicts, |local| {
+            let held = self.table.mode_for_local(p.part, local);
+            tele.blocked_by(held.map_or(telemetry::MODE_NONE, |m| m.0));
+        });
     }
 
     /// The unified acquisition entry point: compiles an [`AcquireSpec`]
@@ -308,28 +317,42 @@ impl SemLock {
     /// [`crate::txn::Txn::acquire`], which routes here via
     /// [`SemLock::acquire_as`] with its real id and held set.
     pub fn acquire(&self, spec: &AcquireSpec) -> Result<(), LockError> {
-        self.acquire_with(spec, crate::txn::next_txn_id, &[])
+        self.acquire_with(spec, crate::txn::next_txn_id, &Vec::new)
     }
 
     /// [`SemLock::acquire`] on behalf of transaction `txn` already holding
-    /// `held` — the watchdog-aware form [`crate::txn::Txn::acquire`] uses.
+    /// `held` — the watchdog-aware form for callers that keep their own
+    /// held set (the interpreter lends its as it stands).
     pub fn acquire_as(
         &self,
         spec: &AcquireSpec,
         txn: TxnId,
         held: &[(u64, ModeId)],
     ) -> Result<(), LockError> {
+        self.acquire_with(spec, || txn, &|| held.to_vec())
+    }
+
+    /// [`SemLock::acquire_as`] for [`crate::txn::Txn::acquire`], whose
+    /// held set has another shape: `held` builds the `(instance id, mode)`
+    /// list, and is called only if the acquisition waits long enough to
+    /// register with the watchdog.
+    pub(crate) fn acquire_for(
+        &self,
+        spec: &AcquireSpec,
+        txn: TxnId,
+        held: &dyn Fn() -> Vec<(u64, ModeId)>,
+    ) -> Result<(), LockError> {
         self.acquire_with(spec, || txn, held)
     }
 
-    /// Shared body of [`SemLock::acquire`] / [`SemLock::acquire_as`]; `txn`
-    /// is only evaluated for a bounded wait.
+    /// Shared body of the `acquire` family; `txn` is only evaluated for a
+    /// bounded wait.
     #[inline]
     fn acquire_with(
         &self,
         spec: &AcquireSpec,
         txn: impl FnOnce() -> TxnId,
-        held: &[(u64, ModeId)],
+        held: &dyn Fn() -> Vec<(u64, ModeId)>,
     ) -> Result<(), LockError> {
         let bound = match spec.wait {
             WaitBudget::Forever => return self.lock_checked(spec.mode),
@@ -371,79 +394,23 @@ impl SemLock {
     /// failed: [`LockError::Poisoned`] for a poisoned instance,
     /// [`LockError::Timeout`] (with a zero wait) for a conflicting hold.
     pub fn try_lock_checked(&self, mode: ModeId) -> Result<(), LockError> {
-        // Outlined traced variant for the same reason as [`SemLock::lock`].
-        if telemetry::enabled() {
-            return self.try_lock_checked_traced(mode);
-        }
-        if self.is_poisoned() {
-            return Err(LockError::Poisoned { instance: self.id });
-        }
         let p = self.table.placement(mode);
-        if p.free {
+        if self
+            .admit_first(mode, p, None)
+            .map_err(|_| self.poisoned())?
+        {
             return Ok(());
         }
-        if self.mechs[p.part as usize].try_lock(p.local, p.conflicts()) {
-            if self.is_poisoned() {
-                let _ = self.mechs[p.part as usize].unlock(p.local);
-                return Err(LockError::Poisoned { instance: self.id });
-            }
-            Ok(())
-        } else {
-            Err(LockError::Timeout {
-                instance: self.id,
-                mode,
-                waited: std::time::Duration::ZERO,
-            })
+        let mut tele = Acquisition::begin(self.id, mode.0, None);
+        if let Some(tele) = &mut tele {
+            self.sample_holders(tele, p);
         }
-    }
-
-    /// [`SemLock::try_lock_checked`] with telemetry recording. Never
-    /// blocks, so a single clock read at entry stamps every event.
-    #[cold]
-    fn try_lock_checked_traced(&self, mode: ModeId) -> Result<(), LockError> {
-        let ctx = telemetry::take_context();
-        let t0 = telemetry::now_ns();
-        self.tele(t0, EventKind::AcquireStart, WaitCause::None, ctx, mode, 0);
-        if self.is_poisoned() {
-            self.tele(
-                t0,
-                EventKind::PoisonRejected,
-                WaitCause::Poison,
-                ctx,
-                mode,
-                0,
-            );
-            return Err(LockError::Poisoned { instance: self.id });
-        }
-        let p = self.table.placement(mode);
-        if p.free {
-            self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-            return Ok(());
-        }
-        if self.mechs[p.part as usize].try_lock(p.local, p.conflicts()) {
-            if self.is_poisoned() {
-                let _ = self.mechs[p.part as usize].unlock(p.local);
-                self.tele(
-                    t0,
-                    EventKind::PoisonRejected,
-                    WaitCause::Poison,
-                    ctx,
-                    mode,
-                    0,
-                );
-                return Err(LockError::Poisoned { instance: self.id });
-            }
-            self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-            Ok(())
-        } else {
-            self.tele_sample_conflicts(t0, ctx, mode, p);
-            self.tele(t0, EventKind::Timeout, WaitCause::Conflict, ctx, mode, 0);
-            Err(LockError::Timeout {
-                instance: self.id,
-                mode,
-                waited: std::time::Duration::ZERO,
-            })
-        }
+        finish(tele, EventKind::Timeout);
+        Err(LockError::Timeout {
+            instance: self.id,
+            mode,
+            waited: Duration::ZERO,
+        })
     }
 
     /// All-or-nothing batched admission of several modes on this
@@ -466,11 +433,25 @@ impl SemLock {
             [m] => return self.try_lock_checked(*m),
             _ => {}
         }
-        // Traced path: per-member probes with rollback, so every event
-        // (AcquireStart/Admit/Timeout/Release) is attributed per mode.
+        let outcome = self.admit_group(modes);
         if telemetry::enabled() {
-            return self.try_lock_group_traced(modes);
+            // One terminal per admitted member; a refusal is one terminal
+            // on the mode the error names (the combined admission does not
+            // say which member was refused).
+            let (reported, kind) = match &outcome {
+                Ok(()) => (modes, EventKind::Admit),
+                Err(LockError::Poisoned { .. }) => (&modes[..1], EventKind::PoisonRejected),
+                Err(_) => (&modes[..1], EventKind::Timeout),
+            };
+            for m in reported {
+                telemetry::report(self.id, m.0, None, kind);
+            }
         }
+        outcome
+    }
+
+    /// The admission of [`SemLock::try_lock_group_checked`].
+    fn admit_group(&self, modes: &[ModeId]) -> Result<(), LockError> {
         if self.is_poisoned() {
             return Err(LockError::Poisoned { instance: self.id });
         }
@@ -524,33 +505,18 @@ impl SemLock {
         }
     }
 
-    /// [`SemLock::try_lock_group_checked`] with telemetry recording:
-    /// sequential per-member probes (each traced) with reverse rollback.
-    #[cold]
-    fn try_lock_group_traced(&self, modes: &[ModeId]) -> Result<(), LockError> {
-        for (i, &m) in modes.iter().enumerate() {
-            if let Err(e) = self.try_lock_checked(m) {
-                for &m2 in modes[..i].iter().rev() {
-                    self.unlock(m2);
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
     /// Bounded acquisition with deadlock detection: wait for admission
     /// until `deadline`, probing the deadlock watchdog while blocked.
     ///
     /// `txn` identifies the acquiring transaction and `held` is the set of
     /// `(instance id, mode)` pairs it already holds — both feed the
     /// watchdog's waits-for graph. The watchdog is registered only after
-    /// the wait has lasted one probe slice, and with telemetry off a mode
-    /// that is free is admitted before any clock read, so the uncontended
-    /// path touches nothing beyond the poison flag and the admission word.
-    /// A waits-for cycle sighted on two
-    /// consecutive probes aborts the member with the largest `txn`
-    /// with [`LockError::WouldDeadlock`].
+    /// the wait has lasted one probe slice, and a mode that is free is
+    /// admitted before any clock read — whatever the telemetry level — so
+    /// the uncontended path touches nothing beyond the poison flag and the
+    /// admission word. A waits-for cycle sighted on two consecutive probes
+    /// aborts the member with the largest `txn` with
+    /// [`LockError::WouldDeadlock`].
     pub fn lock_deadline(
         &self,
         mode: ModeId,
@@ -558,7 +524,7 @@ impl SemLock {
         txn: TxnId,
         held: &[(u64, ModeId)],
     ) -> Result<(), LockError> {
-        self.lock_deadline_impl(mode, Bound::Until(deadline), txn, held, true)
+        self.lock_deadline_impl(mode, Bound::Until(deadline), txn, &|| held.to_vec(), true)
     }
 
     /// [`SemLock::lock_deadline`] with the watchdog participation made
@@ -571,71 +537,56 @@ impl SemLock {
         mode: ModeId,
         bound: Bound,
         txn: TxnId,
-        held: &[(u64, ModeId)],
+        held: &dyn Fn() -> Vec<(u64, ModeId)>,
         watchdog: bool,
     ) -> Result<(), LockError> {
-        let tel = telemetry::enabled();
-        if !tel {
-            // The bound costs nothing unless the acquisition waits: a
-            // non-blocking admission (poison checked before and after, as
-            // on every path) returns before any clock read. Only a refusal
-            // falls through to the bounded wait below.
-            match self.try_lock_checked(mode) {
-                Err(LockError::Timeout { .. }) => {}
-                done => return done,
-            }
+        let p = self.table.placement(mode);
+        // The bound costs nothing unless the acquisition waits: only a
+        // refusal goes on to read the clock.
+        if self
+            .admit_first(mode, p, Some(txn))
+            .map_err(|_| self.poisoned())?
+        {
+            Ok(())
+        } else {
+            self.lock_deadline_refused(mode, p, bound, txn, held, watchdog)
         }
-        let mut ctx = (txn, telemetry::SITE_NONE);
-        // One clock read serves the entry event, the no-wait outcomes, and
-        // the wait origin; blocked outcomes pay exactly one more read that
-        // stamps the outcome event and supplies both the event's `wait_ns`
-        // and the error's `waited`.
-        let t0 = telemetry::now_ns();
+    }
+
+    /// The rest of [`SemLock::lock_deadline_impl`] once the first admit
+    /// try was refused: the bounded, watchdog-probed wait.
+    #[cold]
+    fn lock_deadline_refused(
+        &self,
+        mode: ModeId,
+        p: &ModePlacement,
+        bound: Bound,
+        txn: TxnId,
+        held: &dyn Fn() -> Vec<(u64, ModeId)>,
+        watchdog: bool,
+    ) -> Result<(), LockError> {
+        let start = Instant::now();
         let deadline = match bound {
             Bound::Until(deadline) => deadline,
-            Bound::Within(timeout) => Instant::now() + timeout,
+            Bound::Within(timeout) => start + timeout,
         };
-        if tel {
-            // The caller's txn parameter is authoritative; only the pending
-            // site comes from the thread-local context.
-            ctx.1 = telemetry::take_context().1;
-            self.tele(t0, EventKind::AcquireStart, WaitCause::None, ctx, mode, 0);
+        let mut tele = Acquisition::begin(self.id, mode.0, Some(txn));
+        if let Some(tele) = &mut tele {
+            tele.refused();
+            self.sample_holders(tele, p);
         }
-        if self.is_poisoned() {
-            if tel {
-                self.tele(
-                    t0,
-                    EventKind::PoisonRejected,
-                    WaitCause::Poison,
-                    ctx,
-                    mode,
-                    0,
-                );
-            }
-            return Err(LockError::Poisoned { instance: self.id });
-        }
-        let p = self.table.placement(mode);
-        if p.free {
-            if tel {
-                self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-            }
-            return Ok(());
-        }
-        let contended_entry = tel && self.tele_sample_conflicts(t0, ctx, mode, p);
+        let mech = &self.mechs[p.part as usize];
         let wd = watchdog::global();
         let mut registered = false;
         let mut pending: Option<Vec<TxnId>> = None;
         let mut abort_cycle: Vec<TxnId> = Vec::new();
-        let outcome = self.mechs[p.part as usize].lock_deadline(
-            p.local,
-            p.conflicts(),
-            deadline,
-            &mut || {
+        let outcome =
+            mech.lock_deadline_after_refusal(p.local, p.conflicts(), deadline, &mut || {
                 if !watchdog {
                     return Wait::Continue;
                 }
                 if !registered {
-                    wd.register(txn, self.id, mode, self.table.clone(), held.to_vec());
+                    wd.register(txn, self.id, mode, self.table.clone(), held());
                     registered = true;
                     return Wait::Continue;
                 }
@@ -653,8 +604,7 @@ impl SemLock {
                     _ => pending = None,
                 }
                 Wait::Continue
-            },
-        );
+            });
         if registered {
             wd.deregister(txn);
         }
@@ -663,69 +613,27 @@ impl SemLock {
                 // Re-check after admission: a holder may have poisoned the
                 // instance (panic mid-operation) while we were blocked.
                 if self.is_poisoned() {
-                    let _ = self.mechs[p.part as usize].unlock(p.local);
-                    if tel {
-                        let t1 = telemetry::now_ns();
-                        self.tele(
-                            t1,
-                            EventKind::PoisonRejected,
-                            WaitCause::Poison,
-                            ctx,
-                            mode,
-                            delta_ns(t0, t1),
-                        );
-                    }
-                    return Err(LockError::Poisoned { instance: self.id });
+                    let _ = mech.unlock(p.local);
+                    finish(tele, EventKind::PoisonRejected);
+                    return Err(self.poisoned());
                 }
-                if tel {
-                    if contended_entry || registered {
-                        let t1 = telemetry::now_ns();
-                        self.tele(
-                            t1,
-                            EventKind::Admit,
-                            WaitCause::Conflict,
-                            ctx,
-                            mode,
-                            delta_ns(t0, t1),
-                        );
-                    } else {
-                        self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-                    }
-                }
+                finish(tele, EventKind::Admit);
                 Ok(())
             }
             Acquire::TimedOut => {
-                let t1 = telemetry::now_ns();
-                let waited = delta_ns(t0, t1);
-                if tel {
-                    self.tele(
-                        t1,
-                        EventKind::Timeout,
-                        WaitCause::Conflict,
-                        ctx,
-                        mode,
-                        waited,
-                    );
-                }
+                finish(tele, EventKind::Timeout);
                 Err(LockError::Timeout {
                     instance: self.id,
                     mode,
-                    waited: Duration::from_nanos(waited),
+                    waited: start.elapsed(),
                 })
             }
             Acquire::Abandoned => {
-                wd.note_deadlock(txn, self.id, mode, ctx.1, &abort_cycle);
-                if tel {
-                    let t1 = telemetry::now_ns();
-                    self.tele(
-                        t1,
-                        EventKind::CycleAborted,
-                        WaitCause::Deadlock,
-                        ctx,
-                        mode,
-                        delta_ns(t0, t1),
-                    );
-                }
+                let site = tele
+                    .as_ref()
+                    .map_or(telemetry::SITE_NONE, Acquisition::site);
+                wd.note_deadlock(txn, self.id, mode, site, &abort_cycle);
+                finish(tele, EventKind::CycleAborted);
                 Err(LockError::WouldDeadlock {
                     instance: self.id,
                     mode,
@@ -787,48 +695,18 @@ impl SemLock {
     /// bookkeeping can no longer be trusted) and returns
     /// [`LockError::UnlockUnderflow`].
     pub fn unlock_checked(&self, mode: ModeId) -> Result<(), LockError> {
-        // Outlined traced variant for the same reason as [`SemLock::lock`].
-        if telemetry::enabled() {
-            return self.unlock_checked_traced(mode);
-        }
+        let tele = telemetry::Release::begin();
         let p = self.table.placement(mode);
-        if p.free {
-            return Ok(());
+        let released = p.free || self.mechs[p.part as usize].unlock(p.local);
+        if !released {
+            self.poison();
         }
-        if self.mechs[p.part as usize].unlock(p.local) {
+        if let Some(tele) = tele {
+            tele.finish(self.id, mode.0, !released);
+        }
+        if released {
             Ok(())
         } else {
-            self.poison();
-            Err(LockError::UnlockUnderflow {
-                instance: self.id,
-                mode,
-            })
-        }
-    }
-
-    /// [`SemLock::unlock_checked`] with telemetry recording.
-    #[cold]
-    fn unlock_checked_traced(&self, mode: ModeId) -> Result<(), LockError> {
-        let ctx = telemetry::take_context();
-        let t0 = telemetry::now_ns();
-        let p = self.table.placement(mode);
-        if p.free {
-            self.tele(t0, EventKind::Release, WaitCause::None, ctx, mode, 0);
-            return Ok(());
-        }
-        if self.mechs[p.part as usize].unlock(p.local) {
-            self.tele(t0, EventKind::Release, WaitCause::None, ctx, mode, 0);
-            Ok(())
-        } else {
-            self.poison();
-            self.tele(
-                t0,
-                EventKind::UnlockUnderflow,
-                WaitCause::None,
-                ctx,
-                mode,
-                0,
-            );
             Err(LockError::UnlockUnderflow {
                 instance: self.id,
                 mode,
@@ -843,64 +721,6 @@ impl SemLock {
             .iter()
             .map(|m| m.stats().underflows.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// Record one telemetry event for this instance (caller has already
-    /// checked [`telemetry::enabled`]).
-    #[inline]
-    fn tele(
-        &self,
-        t_ns: u64,
-        kind: EventKind,
-        cause: WaitCause,
-        ctx: (u64, u32),
-        mode: ModeId,
-        wait_ns: u64,
-    ) {
-        telemetry::record_at(
-            t_ns,
-            kind,
-            cause,
-            ctx.0,
-            ctx.1,
-            self.id,
-            mode.0,
-            telemetry::MODE_NONE,
-            wait_ns,
-        );
-    }
-
-    /// Sample currently-held conflicting modes and record one
-    /// [`EventKind::Blocked`] observation per holder (feeds the
-    /// conflict-pair matrix). Racy by design — a sample, not an admission
-    /// decision. Returns whether any conflicting hold was observed.
-    fn tele_sample_conflicts(
-        &self,
-        t_ns: u64,
-        ctx: (u64, u32),
-        mode: ModeId,
-        p: &ModePlacement,
-    ) -> bool {
-        let held = self.mechs[p.part as usize].held_conflicting(&p.local_conflicts);
-        for &local in &held {
-            let other = self
-                .table
-                .mode_for_local(p.part, local)
-                .map(|m| m.0)
-                .unwrap_or(telemetry::MODE_NONE);
-            telemetry::record_at(
-                t_ns,
-                EventKind::Blocked,
-                WaitCause::Conflict,
-                ctx.0,
-                ctx.1,
-                self.id,
-                mode.0,
-                other,
-                0,
-            );
-        }
-        !held.is_empty()
     }
 
     /// Current hold count of a mode (diagnostics / tests).

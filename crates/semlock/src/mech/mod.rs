@@ -382,8 +382,7 @@ impl Mech {
     /// Acquire the mode with local index `local`, whose conflict set `cs`
     /// was precomputed by the [`crate::mode::ModeTable`]. Blocks until
     /// admission is legal. Returns whether the first admission attempt
-    /// was refused (used by the telemetry layer to classify the
-    /// admission; ignorable otherwise).
+    /// was refused.
     ///
     /// Under [`WaitStrategy::Block`] a refused acquisition re-tries up to
     /// [`OPTIMISTIC_PROBES`] times with a short doubling pause — each try
@@ -392,15 +391,23 @@ impl Mech {
     /// Statistics: one acquisition, plus one contended acquisition if the
     /// first attempt was refused, however long the wait then was.
     pub fn lock(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        let waited = !self.try_admit(local, cs);
-        if waited {
-            self.lock_slow(local, cs);
+        let refused = !self.try_lock(local, cs);
+        if refused {
+            self.lock_after_refusal(local, cs);
         }
+        refused
+    }
+
+    /// The rest of [`Mech::lock`] for a caller that made the first
+    /// attempt itself — a [`Mech::try_lock`] that was refused — and wants
+    /// to act between the refusal and the wait (`SemLock` starts the
+    /// telemetry wait clock there). `try_lock` then this is `lock`: the
+    /// same admit tries, the same statistics.
+    #[cold]
+    pub fn lock_after_refusal(&self, local: u32, cs: ConflictSet<'_>) {
+        self.lock_slow(local, cs);
         self.stats.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if waited {
-            self.stats.contended.fetch_add(1, Ordering::Relaxed);
-        }
-        waited
+        self.stats.contended.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Try to acquire without waiting; returns whether the mode was taken.
@@ -514,18 +521,29 @@ impl Mech {
         deadline: Instant,
         probe: &mut dyn FnMut() -> Wait,
     ) -> Acquire {
-        let waited = !self.try_admit(local, cs);
-        let outcome = if waited {
-            self.lock_deadline_slow(local, cs, deadline, probe)
-        } else {
+        if self.try_lock(local, cs) {
             Acquire::Acquired
-        };
+        } else {
+            self.lock_deadline_after_refusal(local, cs, deadline, probe)
+        }
+    }
+
+    /// The rest of [`Mech::lock_deadline`] after a refused
+    /// [`Mech::try_lock`], as [`Mech::lock_after_refusal`] is the rest of
+    /// [`Mech::lock`].
+    #[cold]
+    pub fn lock_deadline_after_refusal(
+        &self,
+        local: u32,
+        cs: ConflictSet<'_>,
+        deadline: Instant,
+        probe: &mut dyn FnMut() -> Wait,
+    ) -> Acquire {
+        let outcome = self.lock_deadline_slow(local, cs, deadline, probe);
         match outcome {
             Acquire::Acquired => {
                 self.stats.acquisitions.fetch_add(1, Ordering::Relaxed);
-                if waited {
-                    self.stats.contended.fetch_add(1, Ordering::Relaxed);
-                }
+                self.stats.contended.fetch_add(1, Ordering::Relaxed);
             }
             Acquire::TimedOut => {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -557,19 +575,18 @@ impl Mech {
         released
     }
 
-    /// Local indices among `conflicts` whose hold counter is currently
-    /// positive — a racy sample of who this acquisition would wait for.
-    /// Telemetry-only (feeds the conflict-pair matrix); never consulted
-    /// for admission decisions.
-    pub fn held_conflicting(&self, conflicts: &[u32]) -> Vec<u32> {
+    /// Call `visit` with each local index among `conflicts` whose hold
+    /// counter is currently positive — a racy sample of who a refused
+    /// acquisition waits for. Telemetry-only (feeds the conflict-pair
+    /// matrix); never consulted for admission decisions.
+    pub fn held_conflicting(&self, conflicts: &[u32], mut visit: impl FnMut(u32)) {
         match &self.counts {
-            Counts::Packed(word) => word.held_among(conflicts),
-            Counts::Dwcas(word) => word.held_among(conflicts),
+            Counts::Packed(word) => word.held_among(conflicts, visit),
+            Counts::Dwcas(word) => word.held_among(conflicts, visit),
             Counts::Wide(counts) => conflicts
                 .iter()
-                .copied()
-                .filter(|&c| counts[c as usize].load(Ordering::Relaxed) > 0)
-                .collect(),
+                .filter(|&&c| counts[c as usize].load(Ordering::Relaxed) > 0)
+                .for_each(|&c| visit(c)),
         }
     }
 

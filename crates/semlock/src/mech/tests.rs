@@ -458,8 +458,13 @@ fn held_conflicting_samples_positive_counters() {
         let m = Mech::with_backend(3, WaitStrategy::Block, layout);
         m.lock(0, ConflictSet::new(&[]));
         m.lock(2, ConflictSet::new(&[]));
-        assert_eq!(m.held_conflicting(&[0, 1, 2]), vec![0, 2]);
-        assert!(m.held_conflicting(&[1]).is_empty());
+        let held = |conflicts: &[u32]| {
+            let mut seen = Vec::new();
+            m.held_conflicting(conflicts, |l| seen.push(l));
+            seen
+        };
+        assert_eq!(held(&[0, 1, 2]), vec![0, 2]);
+        assert!(held(&[1]).is_empty());
         assert!(m.unlock(0));
         assert!(m.unlock(2));
     }

@@ -360,15 +360,15 @@ pub(super) trait AdmitWord {
             .sum()
     }
 
-    /// The locals among `conflicts` whose count is positive — a racy
-    /// telemetry sample.
-    fn held_among(&self, conflicts: &[u32]) -> Vec<u32> {
+    /// Visit the locals among `conflicts` whose count is positive — a
+    /// racy telemetry sample.
+    fn held_among(&self, conflicts: &[u32], visit: impl FnMut(u32)) {
         let cur = self.load(Ordering::Relaxed);
         conflicts
             .iter()
             .copied()
             .filter(|&c| field_of(cur, c) > 0)
-            .collect()
+            .for_each(visit);
     }
 }
 

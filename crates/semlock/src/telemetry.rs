@@ -1,33 +1,51 @@
-//! Contention telemetry: lock-site tracing, wait histograms, exporters.
+//! Contention telemetry: per-site counters you can leave on, and an
+//! opt-in event trace.
 //!
-//! A low-overhead event layer recording what the semantic-lock runtime does
-//! at every acquisition boundary: acquire start, admission, release,
-//! timeout, poison rejection and deadlock abort, each stamped with the
-//! locking mode, ADT instance, transaction id, wait cause and — when the
-//! acquisition came from compiler-inserted code — the **stable lock-site
-//! id** the `synth` crate stamped on the `LS(l)` site, so contention
-//! attributes back to IR source lines.
+//! The layer answers *which modes block which, how often and for how
+//! long* at every acquisition boundary of the semantic-lock runtime —
+//! admission, release, timeout, poison rejection, deadlock abort — keyed by
+//! the locking mode and, when the acquisition came from compiler-inserted
+//! code, the **stable lock-site id** the `synth` crate stamped on the
+//! `LS(l)` site, so contention attributes back to IR source lines.
 //!
-//! ## Design constraints
+//! ## Two levels behind one gate
 //!
-//! * **Disabled-path cost is one branch on a static flag.** Every emission
-//!   point in [`crate::mech`] / [`crate::manager`] / [`crate::txn`] is
-//!   guarded by [`enabled`], a relaxed load of one process-global
-//!   `AtomicBool`. When the flag is off nothing allocates, no `Instant` is
-//!   read, and no atomics beyond the runtime's existing counters are
-//!   touched.
-//! * **Recording is lock-free and per-thread.** Each recording thread owns
-//!   a fixed-size ring of seqlock slots built from plain atomic words; a
-//!   write is a handful of relaxed stores bracketed by two release stores
-//!   of the slot sequence number. Readers ([`snapshot`]) may run
-//!   concurrently and simply discard torn slots. When a ring wraps, the
-//!   oldest events are overwritten and counted as dropped — recording
-//!   never blocks.
-//! * **Aggregation is offline.** Histograms, per-site counters and the
-//!   conflict-pair matrix are computed by [`Metrics::collect`] from a
-//!   snapshot, not maintained on the hot path.
+//! One process-global word ([`level`]) selects what is recorded:
 //!
-//! ## Event balance invariant
+//! * [`Level::Off`] — nothing. Every entry point in [`crate::manager`] /
+//!   [`crate::txn`] pays one relaxed load and one branch.
+//! * [`Level::Counters`] ([`set_enabled`]`(true)`) — **aggregation in
+//!   place**. Each recording thread owns an insert-only table keyed
+//!   `(site, mode)` whose cells are plain words only that thread writes
+//!   (a relaxed load and a relaxed store, never an RMW), plus a
+//!   `(requested, held)` conflict-pair table touched only when an
+//!   admission is refused. An acquisition admitted on its first try bumps
+//!   two words of one cache line; a release bumps one. It reads no clock,
+//!   allocates nothing, builds no [`Event`], and writes no line another
+//!   thread reads; the clock is first read after the first refusal.
+//!   [`Metrics::collect`] sums the registered tables without blocking any
+//!   writer, so its per-site counts, histograms and conflict matrix are
+//!   **exact for the whole run** — nothing is sampled and nothing wraps. A
+//!   key that does not fit a thread's table is counted in
+//!   [`Metrics::overflow`], never lost silently.
+//! * [`Level::Trace`] — the counters **plus** the full event stream:
+//!   every boundary also appends an [`Event`] to a per-thread ring of
+//!   seqlock slots ([`RING_CAPACITY`] events, allocated at a thread's
+//!   first traced event). A ring that wraps overwrites its oldest events
+//!   and counts them in [`Metrics::trace_dropped`]; recording never
+//!   blocks. [`snapshot`] / [`chrome_trace`] / [`check_balanced`] read
+//!   the rings, and the test suites use the balanced stream as an oracle.
+//!
+//! At every level the runtime admits exactly as it does with telemetry
+//! off and *then* records the outcome: holders are sampled and the clock
+//! is read only after a refusal, so `MechStats`, timing and retry
+//! behaviour do not depend on the level.
+//!
+//! The cells order nothing — no reader acts on a count, and a torn sum is
+//! only ever a sum of values each cell really held — which is why they are
+//! relaxed and carry no row in [`crate::mech::ORDERING_AUDIT`].
+//!
+//! ## Event balance invariant (trace level)
 //!
 //! For every `(txn, instance, mode, site)` key, the stream satisfies
 //! `AcquireStart count == Admit + Timeout + PoisonRejected + CycleAborted`
@@ -37,13 +55,15 @@
 //! and interpreter workloads. [`EventKind::Blocked`] (a conflict
 //! observation used for the conflict-pair matrix) and
 //! [`EventKind::UnlockUnderflow`] (a refused double release) sit outside
-//! the invariant.
+//! the invariant. [`Metrics::from_events`] aggregates a stream the way
+//! the counters aggregate in place; the differential suite holds the two
+//! equal.
 
 use parking_lot::Mutex;
-use std::cell::{Cell, OnceCell};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Sentinel site id for acquisitions not attributable to a compiler-
@@ -53,47 +73,56 @@ pub const SITE_NONE: u32 = u32::MAX;
 /// Sentinel mode value for events without a secondary mode.
 pub const MODE_NONE: u32 = u32::MAX;
 
-/// Default events retained per recording thread before the ring wraps and
-/// the oldest are dropped (counted, never blocking the writer). The
-/// `SEMLOCK_TELEMETRY_CAP` environment variable overrides this per
-/// process — see [`ring_capacity`].
+/// Events a thread's trace ring retains before it wraps and the oldest
+/// are dropped (counted, never blocking the writer).
 pub const RING_CAPACITY: usize = 1 << 14;
-
-/// Per-thread ring capacity in effect for this process: the value of the
-/// `SEMLOCK_TELEMETRY_CAP` environment variable (rounded up to a power of
-/// two, clamped to `64..=2^24`) or [`RING_CAPACITY`] when unset or
-/// unparsable. Read once, at the first ring allocation — changing the
-/// variable afterwards has no effect.
-pub fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("SEMLOCK_TELEMETRY_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .map(|n| n.clamp(64, 1 << 24).next_power_of_two())
-            .unwrap_or(RING_CAPACITY)
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Gate
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// What the telemetry layer records (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[repr(u8)]
+pub enum Level {
+    /// Nothing.
+    Off = 0,
+    /// Per-thread in-place counters: exact, cheap enough to leave on.
+    Counters = 1,
+    /// The counters plus the per-thread event rings.
+    Trace = 2,
+}
 
-/// Is telemetry recording on? One relaxed atomic load — this is the whole
-/// disabled-path cost at every emission point.
+static LEVEL: AtomicU8 = AtomicU8::new(Level::Off as u8);
+
+/// The recording level. One relaxed atomic load — with the branch on it,
+/// the whole disabled-path cost at every entry point.
+#[inline(always)]
+pub fn level() -> Level {
+    match LEVEL.load(Ordering::Relaxed) {
+        0 => Level::Off,
+        1 => Level::Counters,
+        _ => Level::Trace,
+    }
+}
+
+/// Is anything being recorded ([`level`] above [`Level::Off`])?
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    LEVEL.load(Ordering::Relaxed) != Level::Off as u8
 }
 
-/// Turn recording on or off process-wide.
+/// Set the recording level process-wide.
+pub fn set_level(level: Level) {
+    LEVEL.store(level as u8, Ordering::SeqCst);
+}
+
+/// Turn the counters on ([`Level::Counters`]) or everything off.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+    set_level(if on { Level::Counters } else { Level::Off });
 }
 
-/// Turn recording on ([`set_enabled`]`(true)`).
+/// Turn the counters on ([`set_enabled`]`(true)`).
 pub fn enable() {
     set_enabled(true);
 }
@@ -266,6 +295,12 @@ impl WaitCause {
         })
     }
 
+    /// Does a terminal with this cause count as contended (it waited on,
+    /// or was aborted over, a conflicting hold)?
+    pub fn is_contended(self) -> bool {
+        matches!(self, WaitCause::Conflict | WaitCause::Deadlock)
+    }
+
     /// Short lowercase name used by the exporters.
     pub fn name(self) -> &'static str {
         match self {
@@ -306,49 +341,538 @@ pub struct Event {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-local acquisition context
+// Thread-local state: acquisition context and the thread's recorder
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static CTX_TXN: Cell<u64> = const { Cell::new(0) };
-    static CTX_SITE: Cell<u32> = const { Cell::new(SITE_NONE) };
+    // Separate `Cell`s read and written through `LocalKey::get` / `set` /
+    // `replace`: each access is a closure small enough to inline down to
+    // one `%fs`-relative move. A struct reached through `with` and a large
+    // closure was measured at one indirect call per access instead.
+    static TXN: Cell<u64> = const { Cell::new(0) };
+    static SITE: Cell<u32> = const { Cell::new(SITE_NONE) };
+    /// This thread's recorder: created, leaked and registered at its
+    /// first recorded boundary; it outlives the thread so
+    /// [`Metrics::collect`] still counts what an exited thread did.
+    static RECORDER: Cell<Option<&'static Recorder>> = const { Cell::new(None) };
+    /// The `(site, mode)` entry this thread counted in last: a release
+    /// finds the cell its acquisition just used without a table probe.
+    static LAST_SITE: Cell<Option<&'static Entry<SiteCell>>> = const { Cell::new(None) };
+}
+
+#[inline]
+fn recorder() -> &'static Recorder {
+    #[cold]
+    fn register() -> &'static Recorder {
+        let rec: &'static Recorder = Box::leak(Box::new(Recorder::new()));
+        registry().lock().push(rec);
+        RECORDER.set(Some(rec));
+        rec
+    }
+    match RECORDER.get() {
+        Some(rec) => rec,
+        None => register(),
+    }
+}
+
+/// The calling thread's counters for `(site, mode)`; `None` when its
+/// table has no room for the key (counted as overflow).
+#[inline]
+fn site_cell(site: u32, mode: u32) -> Option<&'static SiteCell> {
+    let key = pack_key(site, mode);
+    match LAST_SITE.get() {
+        Some(entry) if entry.key == key => Some(&entry.cell),
+        _ => {
+            let entry = recorder().sites.entry(key)?;
+            LAST_SITE.set(Some(entry));
+            Some(&entry.cell)
+        }
+    }
 }
 
 /// Stamp the transaction id and lock-site id for the next acquisition or
 /// release performed by this thread. The site is consumed (reset to
-/// [`SITE_NONE`]) by [`take_context`] so it cannot leak onto an unrelated
-/// later acquisition.
+/// [`SITE_NONE`]) by the runtime entry point that records it, so it
+/// cannot leak onto an unrelated later acquisition.
+#[inline]
 pub fn set_context(txn: u64, site: u32) {
-    CTX_TXN.with(|c| c.set(txn));
-    CTX_SITE.with(|c| c.set(site));
+    TXN.set(txn);
+    SITE.set(site);
 }
 
 /// Stamp only the transaction id (keeps any pending site).
+#[inline]
 pub fn set_txn(txn: u64) {
-    CTX_TXN.with(|c| c.set(txn));
+    TXN.set(txn);
 }
 
 /// Stamp only the pending lock-site id (keeps the transaction id).
+#[inline]
 pub fn set_site(site: u32) {
-    CTX_SITE.with(|c| c.set(site));
+    SITE.set(site);
 }
 
-/// Read and consume the pending context: returns `(txn, site)` and resets
-/// the site to [`SITE_NONE`]. Called once per runtime lock/unlock entry
-/// point.
-pub fn take_context() -> (u64, u32) {
-    let txn = CTX_TXN.with(|c| c.get());
-    let site = CTX_SITE.with(|c| c.replace(SITE_NONE));
-    (txn, site)
-}
-
-/// Read the pending context without consuming it.
+/// Read the pending context `(txn, site)` without consuming it.
+#[inline]
 pub fn context() -> (u64, u32) {
-    (CTX_TXN.with(|c| c.get()), CTX_SITE.with(|c| c.get()))
+    (TXN.get(), SITE.get())
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread seqlock rings
+// Counter tier: per-thread insert-only tables of single-writer cells
+// ---------------------------------------------------------------------------
+
+/// `(site, mode)` keys one thread's table holds. A synthesized program
+/// has tens of lock sites and at most a few hundred modes per class; the
+/// benchmark's widest workload uses 64 keys.
+const SITE_SLOTS: usize = 1 << 12;
+
+/// `(requested, held)` mode pairs one thread's table holds.
+const PAIR_SLOTS: usize = 1 << 10;
+
+/// Slots a lookup examines before it gives the key up as overflow.
+const PROBE_LIMIT: usize = 16;
+
+/// Add to a cell only the calling thread writes: a relaxed load and a
+/// relaxed store, no RMW. Readers on other threads see some value the
+/// cell really held.
+#[inline(always)]
+fn bump(cell: &AtomicU64, by: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(by),
+        Ordering::Relaxed,
+    );
+}
+
+fn pack_key(hi: u32, lo: u32) -> u64 {
+    (u64::from(hi) << 32) | u64::from(lo)
+}
+
+fn unpack_key(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
+/// A key and its counters, on a cache line of their own: the key sits
+/// in front of the first (hot) words of the cell, and no other thread's
+/// entry shares a line the owner writes.
+#[repr(C, align(64))]
+struct Entry<C> {
+    key: u64,
+    cell: C,
+}
+
+/// An open-addressed, insert-only table from a packed key to a cell of
+/// counters. One thread inserts and writes; any thread may read while it
+/// does. Entries are boxed so an empty table is a slice of empty
+/// [`OnceLock`]s and a cell is allocated when its key first shows up.
+struct Table<C> {
+    slots: Box<[OnceLock<Box<Entry<C>>>]>,
+    /// Boundaries whose key found no slot within [`PROBE_LIMIT`].
+    overflow: AtomicU64,
+}
+
+impl<C: Default> Table<C> {
+    fn new(slots: usize) -> Table<C> {
+        assert!(slots.is_power_of_two());
+        Table {
+            slots: (0..slots).map(|_| OnceLock::new()).collect(),
+            overflow: AtomicU64::new(0),
+        }
+    }
+
+    /// The entry of `key`, inserted if absent; `None` (and one more
+    /// overflow) when the probe window is taken by other keys. **Owning
+    /// thread only.**
+    #[inline]
+    fn entry(&self, key: u64) -> Option<&Entry<C>> {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: site ids are FNV hashes but mode ids are
+        // small consecutive integers.
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        for _ in 0..PROBE_LIMIT {
+            let entry = self.slots[i].get_or_init(|| {
+                Box::new(Entry {
+                    key,
+                    cell: C::default(),
+                })
+            });
+            if entry.key == key {
+                return Some(entry);
+            }
+            i = (i + 1) & mask;
+        }
+        bump(&self.overflow, 1);
+        None
+    }
+
+    fn cell(&self, key: u64) -> Option<&C> {
+        self.entry(key).map(|entry| &entry.cell)
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (u64, &C)> {
+        self.slots
+            .iter()
+            .filter_map(|slot| slot.get().map(|entry| (entry.key, &entry.cell)))
+    }
+}
+
+/// The counters of one `(site, mode)` key on one thread. The first
+/// cache line (with the key in front of it in the boxed entry) holds what
+/// an uncontended acquire/release touches — `admits`, the zero-wait
+/// histogram bucket, `releases` — and the wait totals; the rest of the
+/// histogram and the rare terminals follow.
+#[derive(Default)]
+#[repr(C)]
+struct SiteCell {
+    admits: AtomicU64,
+    releases: AtomicU64,
+    contended: AtomicU64,
+    total_wait_ns: AtomicU64,
+    max_wait_ns: AtomicU64,
+    wait_hist: [AtomicU64; WAIT_BUCKETS],
+    timeouts: AtomicU64,
+    poison_rejects: AtomicU64,
+    cycle_aborts: AtomicU64,
+}
+
+impl SiteCell {
+    /// Count one terminal. Acquire starts are not stored: every
+    /// acquisition ends in exactly one terminal, so they are the sum of
+    /// the four terminal counts. Inlined so that the first-try admission
+    /// ([`report`]) folds to its two increments, and branching rather
+    /// than dispatching on `kind` — an indirect jump costs more here than
+    /// everything else the counter level does.
+    #[inline(always)]
+    fn count_terminal(&self, kind: EventKind, cause: WaitCause, wait_ns: u64) {
+        let terminal = if kind == EventKind::Admit {
+            &self.admits
+        } else if kind == EventKind::Timeout {
+            &self.timeouts
+        } else if kind == EventKind::PoisonRejected {
+            &self.poison_rejects
+        } else {
+            debug_assert_eq!(kind, EventKind::CycleAborted, "not a terminal");
+            &self.cycle_aborts
+        };
+        bump(terminal, 1);
+        bump(&self.wait_hist[wait_bucket(wait_ns)], 1);
+        if cause.is_contended() {
+            bump(&self.contended, 1);
+        }
+        if wait_ns > 0 {
+            bump(&self.total_wait_ns, wait_ns);
+            if wait_ns > self.max_wait_ns.load(Ordering::Relaxed) {
+                self.max_wait_ns.store(wait_ns, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn read(&self) -> SiteStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut s = SiteStats {
+            admits: get(&self.admits),
+            releases: get(&self.releases),
+            timeouts: get(&self.timeouts),
+            poison_rejects: get(&self.poison_rejects),
+            cycle_aborts: get(&self.cycle_aborts),
+            contended: get(&self.contended),
+            total_wait_ns: get(&self.total_wait_ns),
+            max_wait_ns: get(&self.max_wait_ns),
+            ..SiteStats::default()
+        };
+        s.acquires = s.admits + s.timeouts + s.poison_rejects + s.cycle_aborts;
+        for (dst, src) in s.wait_hist.iter_mut().zip(&self.wait_hist) {
+            *dst = get(src);
+        }
+        s
+    }
+
+    /// Zero every counter ([`reset`]; requires quiescence).
+    fn clear(&self) {
+        let scalars = [
+            &self.admits,
+            &self.releases,
+            &self.contended,
+            &self.total_wait_ns,
+            &self.max_wait_ns,
+            &self.timeouts,
+            &self.poison_rejects,
+            &self.cycle_aborts,
+        ];
+        for c in scalars.into_iter().chain(&self.wait_hist) {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// What one thread has recorded: its counter tables and, once it has
+/// traced an event, its ring.
+struct Recorder {
+    /// Telemetry-local thread id ([`Event::thread`]).
+    thread: u32,
+    sites: Table<SiteCell>,
+    pairs: Table<AtomicU64>,
+    unlock_underflows: AtomicU64,
+    ring: OnceLock<Ring>,
+}
+
+impl Recorder {
+    fn new() -> Recorder {
+        static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
+        Recorder {
+            thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
+            sites: Table::new(SITE_SLOTS),
+            pairs: Table::new(PAIR_SLOTS),
+            unlock_underflows: AtomicU64::new(0),
+            ring: OnceLock::new(),
+        }
+    }
+
+    /// Append one event to this thread's ring (trace level only).
+    fn trace(&self, ev: Event) {
+        self.ring.get_or_init(Ring::new).push(&Event {
+            thread: self.thread,
+            ..ev
+        });
+    }
+}
+
+fn registry() -> &'static Mutex<Vec<&'static Recorder>> {
+    static REGISTRY: OnceLock<Mutex<Vec<&'static Recorder>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// Every recorder registered so far. The registry lock is held for the
+/// copy only — a thread recording its first boundary waits for that, a
+/// thread already recording never does.
+fn recorders() -> Vec<&'static Recorder> {
+    registry().lock().clone()
+}
+
+// ---------------------------------------------------------------------------
+// Recording: what the runtime entry points call
+// ---------------------------------------------------------------------------
+
+/// One acquisition, from its entry point to its terminal, as the
+/// telemetry layer follows it. The runtime admits first and reports
+/// afterwards: [`Acquisition::refused`] / [`Acquisition::blocked_by`]
+/// after a refused admit try, [`Acquisition::finish`] with the terminal.
+/// An acquisition that never waits is [`report`]ed in one call, which at
+/// [`Level::Counters`] reads no clock.
+pub(crate) struct Acquisition {
+    trace: bool,
+    instance: u64,
+    mode: u32,
+    site: u32,
+    txn: u64,
+    /// The first clock reading: the refusal that started the wait, or
+    /// (trace level) the stamp of an event already emitted.
+    t0: Option<u64>,
+    /// [`Acquisition::refused`] ran: the terminal's wait counts from `t0`.
+    waited: bool,
+    /// Trace level: `AcquireStart` is already in the ring.
+    started: bool,
+}
+
+impl Acquisition {
+    /// Start following an acquisition of `mode` on `instance`; `None`
+    /// with telemetry off. Consumes the pending site of the thread
+    /// context; `txn` overrides the context's transaction id.
+    #[inline]
+    pub(crate) fn begin(instance: u64, mode: u32, txn: Option<u64>) -> Option<Acquisition> {
+        match level() {
+            Level::Off => None,
+            level => Some(Acquisition::begin_at(level, instance, mode, txn)),
+        }
+    }
+
+    fn begin_at(level: Level, instance: u64, mode: u32, txn: Option<u64>) -> Acquisition {
+        Acquisition {
+            trace: level == Level::Trace,
+            instance,
+            mode,
+            site: SITE.replace(SITE_NONE),
+            txn: txn.unwrap_or_else(|| TXN.get()),
+            t0: None,
+            waited: false,
+            started: false,
+        }
+    }
+
+    /// The lock-site id this acquisition is attributed to.
+    pub(crate) fn site(&self) -> u32 {
+        self.site
+    }
+
+    fn event(&self, t_ns: u64, kind: EventKind, cause: WaitCause, other_mode: u32) -> Event {
+        Event {
+            kind,
+            cause,
+            thread: 0,
+            txn: self.txn,
+            instance: self.instance,
+            mode: self.mode,
+            other_mode,
+            site: self.site,
+            t_ns,
+            wait_ns: 0,
+        }
+    }
+
+    /// The first clock reading of this acquisition, taken now if none was.
+    fn stamp(&mut self) -> u64 {
+        *self.t0.get_or_insert_with(now_ns)
+    }
+
+    /// Trace level: put `AcquireStart` in the ring unless it is there.
+    fn trace_start(&mut self, rec: &Recorder) {
+        if !std::mem::replace(&mut self.started, true) {
+            let t = self.stamp();
+            rec.trace(self.event(t, EventKind::AcquireStart, WaitCause::None, MODE_NONE));
+        }
+    }
+
+    /// The first admit try was refused and the acquisition now waits:
+    /// start the wait clock.
+    pub(crate) fn refused(&mut self) {
+        self.waited = true;
+        self.stamp();
+    }
+
+    /// A conflicting mode was seen held after a refusal: one observation
+    /// for the conflict-pair matrix.
+    pub(crate) fn blocked_by(&mut self, held_mode: u32) {
+        let rec = recorder();
+        if let Some(n) = rec.pairs.cell(pack_key(self.mode, held_mode)) {
+            bump(n, 1);
+        }
+        if self.trace {
+            self.trace_start(rec);
+            let t = self.stamp();
+            rec.trace(self.event(t, EventKind::Blocked, WaitCause::Conflict, held_mode));
+        }
+    }
+
+    /// The acquisition ended in `kind` ([`EventKind::Admit`],
+    /// [`EventKind::Timeout`], [`EventKind::PoisonRejected`] or
+    /// [`EventKind::CycleAborted`]).
+    pub(crate) fn finish(mut self, kind: EventKind) {
+        let cause = match kind {
+            EventKind::Admit if self.waited => WaitCause::Conflict,
+            EventKind::Admit => WaitCause::Uncontended,
+            EventKind::Timeout => WaitCause::Conflict,
+            EventKind::CycleAborted => WaitCause::Deadlock,
+            _ => WaitCause::Poison,
+        };
+        let (t_ns, wait_ns) = match self.t0 {
+            Some(t0) if self.waited => {
+                let t1 = now_ns();
+                (t1, t1.saturating_sub(t0))
+            }
+            _ if self.trace => (self.stamp(), 0),
+            _ => (0, 0),
+        };
+        if let Some(cell) = site_cell(self.site, self.mode) {
+            cell.count_terminal(kind, cause, wait_ns);
+        }
+        if self.trace {
+            let rec = recorder();
+            self.trace_start(rec);
+            rec.trace(Event {
+                wait_ns,
+                ..self.event(t_ns, kind, cause, MODE_NONE)
+            });
+        }
+    }
+}
+
+/// Report an acquisition that never waited — admitted on its first try,
+/// or rejected as poisoned — in one call: `begin` and `finish` with
+/// nothing in between. With telemetry off, one relaxed load and a branch
+/// over one out-of-line call; a first-try admission at
+/// [`Level::Counters`] is two increments in the thread's own cell.
+#[inline(always)]
+pub(crate) fn report(instance: u64, mode: u32, txn: Option<u64>, kind: EventKind) {
+    #[inline(never)]
+    fn report_at(level: Level, instance: u64, mode: u32, txn: Option<u64>, kind: EventKind) {
+        if level == Level::Counters && kind == EventKind::Admit {
+            if let Some(cell) = site_cell(SITE.replace(SITE_NONE), mode) {
+                cell.count_terminal(EventKind::Admit, WaitCause::Uncontended, 0);
+            }
+        } else {
+            generic(level, instance, mode, txn, kind);
+        }
+    }
+    // Kept out of `report_at`: the `Acquisition` it builds would cost the
+    // two-increment path its registers (measured: 89 → 107 ns per
+    // `cia_telemetry` operation when first-try admissions take it).
+    #[inline(never)]
+    fn generic(level: Level, instance: u64, mode: u32, txn: Option<u64>, kind: EventKind) {
+        Acquisition::begin_at(level, instance, mode, txn).finish(kind);
+    }
+    match level() {
+        Level::Off => {}
+        level => report_at(level, instance, mode, txn, kind),
+    }
+}
+
+/// One release as the telemetry layer follows it: begun before the
+/// mechanism is called, finished with what the mechanism said.
+pub(crate) struct Release {
+    /// Trace level: the clock, read while the mode is still held so that
+    /// a hold never appears to outlast the next conflicting admission.
+    t_ns: Option<u64>,
+}
+
+impl Release {
+    /// Start following a release; `None` with telemetry off — one relaxed
+    /// load and a branch.
+    #[inline(always)]
+    pub(crate) fn begin() -> Option<Release> {
+        match level() {
+            Level::Off => None,
+            Level::Counters => Some(Release { t_ns: None }),
+            Level::Trace => Some(Release {
+                t_ns: Some(now_ns()),
+            }),
+        }
+    }
+
+    /// The mechanism released `mode` on `instance` or (`underflow`)
+    /// refused a double release. Consumes the pending site of the thread
+    /// context. A plain release at [`Level::Counters`] is one increment
+    /// in the thread's own cell.
+    #[inline(never)]
+    pub(crate) fn finish(self, instance: u64, mode: u32, underflow: bool) {
+        let site = SITE.replace(SITE_NONE);
+        if underflow {
+            bump(&recorder().unlock_underflows, 1);
+        } else if let Some(cell) = site_cell(site, mode) {
+            bump(&cell.releases, 1);
+        }
+        if let Some(t_ns) = self.t_ns {
+            recorder().trace(Event {
+                kind: if underflow {
+                    EventKind::UnlockUnderflow
+                } else {
+                    EventKind::Release
+                },
+                cause: WaitCause::None,
+                thread: 0,
+                txn: TXN.get(),
+                instance,
+                mode,
+                other_mode: MODE_NONE,
+                site,
+                t_ns,
+                wait_ns: 0,
+            });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Trace tier: per-thread seqlock rings
 // ---------------------------------------------------------------------------
 
 /// One ring slot: a seqlock sequence word plus the packed event words.
@@ -397,21 +921,18 @@ fn unpack(w: &[u64; 7]) -> Option<Event> {
     })
 }
 
-/// The per-thread ring. `head` counts events ever written by this thread;
-/// slot `head % capacity` is the next write position (capacity =
-/// `slots.len()`, fixed at allocation by [`ring_capacity`]).
-struct Shard {
-    thread: u32,
+/// One thread's event ring. `head` counts events ever written by the
+/// thread; slot `head % RING_CAPACITY` is the next write position.
+struct Ring {
     head: AtomicU64,
     slots: Box<[Slot]>,
 }
 
-impl Shard {
-    fn new(thread: u32) -> Shard {
-        Shard {
-            thread,
+impl Ring {
+    fn new() -> Ring {
+        Ring {
             head: AtomicU64::new(0),
-            slots: (0..ring_capacity()).map(|_| Slot::empty()).collect(),
+            slots: (0..RING_CAPACITY).map(|_| Slot::empty()).collect(),
         }
     }
 
@@ -430,11 +951,18 @@ impl Shard {
         self.head.store(h + 1, Ordering::Release);
     }
 
-    /// Read every retained event in write order, skipping torn slots.
-    fn drain_into(&self, out: &mut Vec<Event>) -> u64 {
+    /// `(retained, dropped)`: events still in the ring and events it
+    /// overwrote since the last [`reset`].
+    fn occupancy(&self) -> (u64, u64) {
         let h = self.head.load(Ordering::Acquire);
         let dropped = h.saturating_sub(self.slots.len() as u64);
-        for i in dropped..h {
+        (h - dropped, dropped)
+    }
+
+    /// Read every retained event in write order, skipping torn slots.
+    fn drain_into(&self, out: &mut Vec<Event>) -> u64 {
+        let (retained, dropped) = self.occupancy();
+        for i in dropped..dropped + retained {
             let slot = &self.slots[(i as usize) % self.slots.len()];
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 & 1 == 1 {
@@ -455,111 +983,46 @@ impl Shard {
     }
 }
 
-static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
-
-fn registry() -> &'static Mutex<Vec<Arc<Shard>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static SHARD: OnceCell<Arc<Shard>> = const { OnceCell::new() };
-}
-
-fn with_shard(f: impl FnOnce(&Shard)) {
-    SHARD.with(|cell| {
-        let shard = cell.get_or_init(|| {
-            let shard = Arc::new(Shard::new(NEXT_THREAD.fetch_add(1, Ordering::Relaxed)));
-            registry().lock().push(shard.clone());
-            shard
-        });
-        f(shard);
-    });
-}
-
-/// Record one event into this thread's ring. The caller must have checked
-/// [`enabled`]; `thread` and `t_ns` are filled in here.
-#[allow(clippy::too_many_arguments)]
-pub fn record(
-    kind: EventKind,
-    cause: WaitCause,
-    txn: u64,
-    site: u32,
-    instance: u64,
-    mode: u32,
-    other_mode: u32,
-    wait_ns: u64,
-) {
-    record_at(
-        now_ns(),
-        kind,
-        cause,
-        txn,
-        site,
-        instance,
-        mode,
-        other_mode,
-        wait_ns,
-    );
-}
-
-/// [`record`] with a caller-supplied timestamp, so a traced acquisition
-/// path can stamp several events (e.g. `AcquireStart` + an uncontended
-/// `Admit`) from a single clock read. [`snapshot`]'s sort is stable, so
-/// events sharing a timestamp keep their recording order.
-#[allow(clippy::too_many_arguments)]
-pub fn record_at(
-    t_ns: u64,
-    kind: EventKind,
-    cause: WaitCause,
-    txn: u64,
-    site: u32,
-    instance: u64,
-    mode: u32,
-    other_mode: u32,
-    wait_ns: u64,
-) {
-    with_shard(|shard| {
-        shard.push(&Event {
-            kind,
-            cause,
-            thread: shard.thread,
-            txn,
-            instance,
-            mode,
-            other_mode,
-            site,
-            t_ns,
-            wait_ns,
-        })
-    });
-}
-
-/// Snapshot every thread's retained events, merged and sorted by
+/// Snapshot every thread's retained trace events, merged and sorted by
 /// timestamp. Returns `(events, dropped)` where `dropped` counts events
-/// lost to ring wrap-around since the last [`reset`].
+/// lost to ring wrap-around since the last [`reset`]. Empty unless some
+/// thread recorded at [`Level::Trace`].
 ///
 /// Safe to call concurrently with writers (torn slots are discarded), but
 /// a consistent, complete stream — e.g. for [`check_balanced`] — requires
 /// the recording threads to be quiescent.
 pub fn snapshot() -> (Vec<Event>, u64) {
-    let shards = registry().lock();
     let mut out = Vec::new();
     let mut dropped = 0;
-    for shard in shards.iter() {
-        dropped += shard.drain_into(&mut out);
+    for ring in recorders().iter().filter_map(|rec| rec.ring.get()) {
+        dropped += ring.drain_into(&mut out);
     }
     out.sort_by_key(|e| e.t_ns);
     (out, dropped)
 }
 
-/// Discard all recorded events and cycle records. **Requires quiescence**:
-/// no thread may be concurrently recording (this is the one place a
-/// non-owner writes a shard's head).
+/// Zero every counter and discard all trace events and cycle records.
+/// **Requires quiescence**: no thread may be concurrently recording (this
+/// is the one place a thread writes another thread's cells and ring
+/// head).
 pub fn reset() {
-    let shards = registry().lock();
-    for shard in shards.iter() {
-        shard.head.store(0, Ordering::SeqCst);
+    for rec in recorders() {
+        for (_, cell) in rec.sites.entries() {
+            cell.clear();
+        }
+        for (_, n) in rec.pairs.entries() {
+            n.store(0, Ordering::Relaxed);
+        }
+        for c in [
+            &rec.sites.overflow,
+            &rec.pairs.overflow,
+            &rec.unlock_underflows,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
+        if let Some(ring) = rec.ring.get() {
+            ring.head.store(0, Ordering::SeqCst);
+        }
     }
     cycles_store().lock().clear();
     for c in [&RETRIES, &ESCALATIONS, &SHEDS, &EXHAUSTED] {
@@ -694,7 +1157,7 @@ pub fn wait_bucket(ns: u64) -> usize {
 }
 
 /// Aggregated contention statistics for one `(site, mode)` pair.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// Acquire starts.
     pub acquires: u64,
@@ -718,38 +1181,92 @@ pub struct SiteStats {
     pub wait_hist: [u64; WAIT_BUCKETS],
 }
 
-/// Aggregated view of a telemetry snapshot: per-site/mode contention
-/// metrics, the conflict-pair matrix and the cycle records.
+impl SiteStats {
+    fn absorb(&mut self, other: &SiteStats) {
+        self.acquires += other.acquires;
+        self.admits += other.admits;
+        self.releases += other.releases;
+        self.timeouts += other.timeouts;
+        self.poison_rejects += other.poison_rejects;
+        self.cycle_aborts += other.cycle_aborts;
+        self.contended += other.contended;
+        self.total_wait_ns += other.total_wait_ns;
+        self.max_wait_ns = self.max_wait_ns.max(other.max_wait_ns);
+        for (dst, src) in self.wait_hist.iter_mut().zip(&other.wait_hist) {
+            *dst += src;
+        }
+    }
+}
+
+/// Aggregated contention statistics: per-site/mode metrics, the
+/// conflict-pair matrix and the cycle records.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Per `(site, mode)` statistics (site [`SITE_NONE`] collects
     /// acquisitions with no compiler-stamped site).
     pub per_site: BTreeMap<(u32, u32), SiteStats>,
     /// Conflict-pair matrix: `(requested mode, conflicting held mode)` →
-    /// number of [`EventKind::Blocked`] observations.
+    /// number of times the held mode was seen after a refusal.
     pub conflict_pairs: BTreeMap<(u32, u32), u64>,
     /// Deadlock-cycle aborts with member lists.
     pub cycles: Vec<CycleRecord>,
-    /// Refused double releases ([`EventKind::UnlockUnderflow`]).
+    /// Refused double releases.
     pub unlock_underflows: u64,
-    /// Events in the snapshot.
+    /// Boundaries the counters could not attribute because their key
+    /// found no slot in the recording thread's table. Zero means
+    /// `per_site` and `conflict_pairs` account for everything recorded.
+    pub overflow: u64,
+    /// Events retained in the trace rings.
     pub total_events: u64,
-    /// Events lost to ring wrap-around.
-    pub dropped: u64,
+    /// Trace events lost to ring wrap-around.
+    pub trace_dropped: u64,
 }
 
 impl Metrics {
-    /// Aggregate the current global snapshot (see [`snapshot`]).
+    /// Sum every thread's counters since the last [`reset`]. Exact at
+    /// quiescence; while threads record, every count is one the cell
+    /// really held, so repeated calls never go backwards and never exceed
+    /// the final totals. Blocks no recording thread.
     pub fn collect() -> Metrics {
-        let (events, dropped) = snapshot();
-        Metrics::from_events(&events, cycles(), dropped)
+        let mut m = Metrics {
+            cycles: cycles(),
+            ..Metrics::default()
+        };
+        for rec in recorders() {
+            for (key, cell) in rec.sites.entries() {
+                let stats = cell.read();
+                // A key whose counters `reset` zeroed keeps its slot.
+                if stats.acquires + stats.releases > 0 {
+                    m.per_site
+                        .entry(unpack_key(key))
+                        .or_default()
+                        .absorb(&stats);
+                }
+            }
+            for (key, n) in rec.pairs.entries() {
+                let n = n.load(Ordering::Relaxed);
+                if n > 0 {
+                    *m.conflict_pairs.entry(unpack_key(key)).or_insert(0) += n;
+                }
+            }
+            m.unlock_underflows += rec.unlock_underflows.load(Ordering::Relaxed);
+            m.overflow += rec.sites.overflow.load(Ordering::Relaxed)
+                + rec.pairs.overflow.load(Ordering::Relaxed);
+            if let Some(ring) = rec.ring.get() {
+                let (retained, dropped) = ring.occupancy();
+                m.total_events += retained;
+                m.trace_dropped += dropped;
+            }
+        }
+        m
     }
 
-    /// Aggregate an explicit event stream.
-    pub fn from_events(events: &[Event], cycles: Vec<CycleRecord>, dropped: u64) -> Metrics {
+    /// Aggregate an explicit event stream — the reference the in-place
+    /// counters are held equal to.
+    pub fn from_events(events: &[Event], cycles: Vec<CycleRecord>, trace_dropped: u64) -> Metrics {
         let mut m = Metrics {
             cycles,
-            dropped,
+            trace_dropped,
             total_events: events.len() as u64,
             ..Metrics::default()
         };
@@ -788,7 +1305,7 @@ impl Metrics {
                 EventKind::Blocked | EventKind::UnlockUnderflow => unreachable!(),
             }
             if terminal {
-                if ev.cause == WaitCause::Conflict || ev.cause == WaitCause::Deadlock {
+                if ev.cause.is_contended() {
                     s.contended += 1;
                 }
                 s.total_wait_ns += ev.wait_ns;
@@ -803,9 +1320,10 @@ impl Metrics {
     /// stable key order).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"semlock-telemetry/v1\",\n");
+        out.push_str("{\n  \"schema\": \"semlock-telemetry/v2\",\n");
+        out.push_str(&format!("  \"overflow\": {},\n", self.overflow));
         out.push_str(&format!("  \"total_events\": {},\n", self.total_events));
-        out.push_str(&format!("  \"dropped\": {},\n", self.dropped));
+        out.push_str(&format!("  \"trace_dropped\": {},\n", self.trace_dropped));
         out.push_str(&format!(
             "  \"unlock_underflows\": {},\n",
             self.unlock_underflows
@@ -1053,16 +1571,16 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_counts_dropped() {
-        let shard = Shard::new(999);
-        let cap = ring_capacity();
-        let total = cap + 100;
+        let ring = Ring::new();
+        let total = RING_CAPACITY + 100;
         for i in 0..total {
-            shard.push(&ev(EventKind::Admit, i as u64, 1, 0, 0));
+            ring.push(&ev(EventKind::Admit, i as u64, 1, 0, 0));
         }
         let mut out = Vec::new();
-        let dropped = shard.drain_into(&mut out);
+        let dropped = ring.drain_into(&mut out);
         assert_eq!(dropped, 100);
-        assert_eq!(out.len(), cap);
+        assert_eq!(ring.occupancy(), (RING_CAPACITY as u64, 100));
+        assert_eq!(out.len(), RING_CAPACITY);
         assert_eq!(out.first().unwrap().txn, 100);
         assert_eq!(out.last().unwrap().txn, total as u64 - 1);
     }
@@ -1107,10 +1625,11 @@ mod tests {
         assert_eq!(s.total_wait_ns, 1500);
         assert_eq!(s.wait_hist[wait_bucket(1500)], 1);
         assert_eq!(m.conflict_pairs[&(3, 9)], 1);
-        assert_eq!(m.dropped, 2);
+        assert_eq!(m.trace_dropped, 2);
         let json = m.to_json();
-        assert!(json.contains("\"schema\": \"semlock-telemetry/v1\""));
-        assert!(json.contains("\"dropped\": 2"));
+        assert!(json.contains("\"schema\": \"semlock-telemetry/v2\""));
+        assert!(json.contains("\"overflow\": 0"));
+        assert!(json.contains("\"trace_dropped\": 2"));
         assert!(json.contains("\"requested_mode\": 3"));
     }
 
@@ -1134,62 +1653,115 @@ mod tests {
     #[test]
     fn disabled_by_default_and_toggle_works() {
         let _g = serial();
+        assert_eq!(level(), Level::Off);
         assert!(!enabled());
         enable();
+        assert_eq!(level(), Level::Counters);
+        assert!(enabled());
+        set_level(Level::Trace);
         assert!(enabled());
         disable();
-        assert!(!enabled());
+        assert_eq!(level(), Level::Off);
+    }
+
+    /// Follow one acquisition of `mode` at `site` the way the runtime
+    /// does, ending in `kind`; `held` is what a refused first try saw.
+    fn acquire(site: u32, mode: u32, held: &[u32], kind: EventKind) {
+        set_context(77, site);
+        let mut a = Acquisition::begin(123, mode, None).expect("telemetry is on");
+        if !held.is_empty() {
+            a.refused();
+            held.iter().for_each(|&h| a.blocked_by(h));
+        }
+        a.finish(kind);
+    }
+
+    fn release(site: u32, mode: u32, underflow: bool) {
+        set_context(77, site);
+        Release::begin()
+            .expect("telemetry is on")
+            .finish(123, mode, underflow);
     }
 
     #[test]
-    fn record_snapshot_reset_roundtrip() {
+    fn counters_record_in_place_and_reset_zeroes_both_tiers() {
         let _g = serial();
         reset();
-        record(
-            EventKind::AcquireStart,
-            WaitCause::Uncontended,
-            77,
-            3,
-            123,
-            1,
-            MODE_NONE,
-            0,
-        );
-        record(
-            EventKind::Admit,
-            WaitCause::Uncontended,
-            77,
-            3,
-            123,
-            1,
-            MODE_NONE,
-            0,
-        );
+        enable();
+        acquire(3, 1, &[], EventKind::Admit);
+        release(3, 1, false);
+        acquire(3, 1, &[1, 2], EventKind::Timeout);
+        release(3, 1, true);
+        let m = Metrics::collect();
+        let s = &m.per_site[&(3, 1)];
+        assert_eq!((s.acquires, s.admits, s.releases, s.timeouts), (2, 1, 1, 1));
+        assert_eq!(s.contended, 1);
+        assert_eq!(s.wait_hist[0], 1, "the first-try admission waited nothing");
+        assert_eq!(s.wait_hist.iter().sum::<u64>(), 2);
+        assert_eq!(m.conflict_pairs[&(1, 1)], 1);
+        assert_eq!(m.conflict_pairs[&(1, 2)], 1);
+        assert_eq!((m.unlock_underflows, m.overflow), (1, 0));
+        assert!(snapshot().0.is_empty(), "the counter level traces nothing");
+
+        set_level(Level::Trace);
+        acquire(3, 1, &[2], EventKind::Admit);
+        release(3, 1, false);
         record_cycle(77, 123, 1, 3, &[42, 77]);
+        disable();
         let (events, dropped) = snapshot();
         assert_eq!(dropped, 0);
-        let mine: Vec<_> = events.iter().filter(|e| e.txn == 77).collect();
-        assert_eq!(mine.len(), 2);
-        assert_eq!(mine[0].kind, EventKind::AcquireStart);
-        assert_eq!(mine[1].kind, EventKind::Admit);
+        let kinds: Vec<_> = events
+            .iter()
+            .filter(|e| e.txn == 77)
+            .map(|e| e.kind)
+            .collect();
+        use EventKind::{AcquireStart, Admit, Blocked};
+        assert_eq!(kinds, [AcquireStart, Blocked, Admit, EventKind::Release]);
+        check_balanced(&events).unwrap();
+        assert_eq!(Metrics::collect().per_site[&(3, 1)].admits, 2);
         assert!(cycles().iter().any(|c| c.members == vec![42, 77]));
+
         reset();
-        let (events, dropped) = snapshot();
-        assert!(events.iter().all(|e| e.txn != 77));
-        assert_eq!(dropped, 0);
+        let m = Metrics::collect();
+        assert!(m.per_site.is_empty() && m.conflict_pairs.is_empty());
+        assert_eq!((m.unlock_underflows, m.total_events), (0, 0));
+        assert!(snapshot().0.is_empty());
         assert!(cycles().is_empty());
     }
 
     #[test]
-    fn context_take_consumes_site_keeps_txn() {
+    fn a_full_probe_window_counts_overflow_instead_of_dropping() {
+        let table: Table<AtomicU64> = Table::new(PROBE_LIMIT);
+        for key in 0..PROBE_LIMIT as u64 {
+            bump(table.cell(key).expect("the table has room"), 1);
+        }
+        assert!(table.cell(1 << 40).is_none());
+        assert!(table.cell(1 << 40).is_none());
+        assert_eq!(table.overflow.load(Ordering::Relaxed), 2);
+        bump(table.cell(3).expect("a stored key is still found"), 1);
+        assert_eq!(
+            table
+                .entries()
+                .map(|(_, n)| n.load(Ordering::Relaxed))
+                .sum::<u64>(),
+            17
+        );
+    }
+
+    #[test]
+    fn context_is_stamped_and_the_site_consumed_by_the_entry_point() {
+        let _g = serial();
         set_context(9, 4);
         assert_eq!(context(), (9, 4));
-        assert_eq!(take_context(), (9, 4));
-        assert_eq!(take_context(), (9, SITE_NONE));
+        enable();
+        let a = Acquisition::begin(1, 0, None).unwrap();
+        disable();
+        assert_eq!(a.site(), 4);
+        assert_eq!(context(), (9, SITE_NONE));
         set_site(6);
         assert_eq!(context(), (9, 6));
         set_txn(2);
         assert_eq!(context(), (2, 6));
-        let _ = take_context();
+        set_site(SITE_NONE);
     }
 }

@@ -7,7 +7,7 @@
 //! epilogue (or early, for the Appendix-A early-release optimization), and —
 //! in debug builds — enforces the OS2PL single-lock-per-instance rule.
 
-use crate::acquire::{AcquireSpec, WaitBudget};
+use crate::acquire::AcquireSpec;
 use crate::error::LockError;
 use crate::manager::SemLock;
 use crate::mode::ModeId;
@@ -112,28 +112,12 @@ impl<'a> Txn<'a> {
             return Ok(());
         }
         let site = self.tele_enter();
-        match spec.wait {
-            WaitBudget::Forever => adt.lock_checked(spec.mode)?,
-            WaitBudget::DontWait => adt.try_lock_checked(spec.mode)?,
-            WaitBudget::Until(_) | WaitBudget::Within(_) => {
-                // Uncontended fast path: admissible right now means no
-                // snapshot allocation, no clock read, no watchdog
-                // involvement.
-                if adt.try_lock_checked(spec.mode).is_err() {
-                    // The fast path consumed the pending site; re-stamp it
-                    // so the bounded acquisition's events carry the same
-                    // attribution.
-                    if site != telemetry::SITE_NONE {
-                        telemetry::set_site(site);
-                    }
-                    // Snapshot of current holds for the watchdog's
-                    // waits-for edges.
-                    let held: Vec<(u64, ModeId)> =
-                        self.held.iter().map(|&(l, m, _)| (l.unique(), m)).collect();
-                    adt.acquire_as(spec, self.id, &held)?;
-                }
-            }
-        }
+        let held = &self.held;
+        // The watchdog's waits-for edges, built only if the acquisition
+        // waits long enough to register.
+        adt.acquire_for(spec, self.id, &|| {
+            held.iter().map(|&(l, m, _)| (l.unique(), m)).collect()
+        })?;
         self.held.push((adt, spec.mode, site));
         Ok(())
     }

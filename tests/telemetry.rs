@@ -1,9 +1,14 @@
-//! Integration tests of the contention-telemetry layer (PR 3):
+//! Integration tests of the contention-telemetry layer (PR 3, PR 19):
 //!
-//! * event streams from fault-injected chaos runs and interpreted
-//!   workloads are *balanced* — every `AcquireStart` resolves to exactly
-//!   one `Admit`+`Release`, `Timeout`, `PoisonRejected`, or
-//!   `CycleAborted` per (txn, instance, mode, site);
+//! * the counter level accounts for every operation of a two-thread
+//!   ComputeIfAbsent run — exactly, with nothing traced — and
+//!   `Metrics::collect` racing the writers only ever sees counts the
+//!   cells really held;
+//! * trace-level event streams from fault-injected chaos runs and
+//!   interpreted workloads are *balanced* — every `AcquireStart` resolves
+//!   to exactly one `Admit`+`Release`, `Timeout`, `PoisonRejected`, or
+//!   `CycleAborted` per (txn, instance, mode, site) — and the in-place
+//!   counters equal `Metrics::from_events` over the same stream;
 //! * a watchdog-broken waits-for cycle produces a `CycleAborted` record
 //!   whose member list matches the [`LockError::WouldDeadlock`] payload;
 //! * recompiling the paper's Fig. 1 / Fig. 7 examples yields identical
@@ -12,8 +17,9 @@
 //!   returns [`LockError::UnlockUnderflow`], poisons the instance, and
 //!   (with telemetry on) emits an `UnlockUnderflow` event.
 //!
-//! The telemetry gate and rings are process-global, so every test that
-//! toggles the flag serializes on [`guard`] and resets at quiescence.
+//! The telemetry level, counters and rings are process-global, so every
+//! test that sets the level serializes on [`guard`] and resets at
+//! quiescence.
 
 use proptest::prelude::*;
 use semlock::error::LockError;
@@ -21,18 +27,160 @@ use semlock::manager::SemLock;
 use semlock::mode::ModeTable;
 use semlock::phi::Phi;
 use semlock::symbolic::{SymArg, SymOp, SymbolicSet};
-use semlock::telemetry::{self, EventKind};
+use semlock::telemetry::{self, Event, EventKind, Level, Metrics};
 use semlock::txn::Txn;
 use semlock::value::Value;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 use workloads::chaos::{run_chaos, ChaosConfig};
 
-/// Serializes the telemetry-toggling tests (the enabled flag and the
-/// event rings are process-global).
+/// Serializes the telemetry-toggling tests (the level, the counters and
+/// the event rings are process-global).
 fn guard() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
     GUARD.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The differential oracle: what the threads counted in place at
+/// [`Level::Trace`] equals the offline aggregation of the (unwrapped)
+/// event stream they also recorded — every per-site count, `contended`,
+/// wait total and maximum, histogram bucket and conflict pair.
+fn assert_counters_equal_stream(counted: &Metrics, events: &[Event]) {
+    let reference = Metrics::from_events(events, Vec::new(), 0);
+    assert_eq!(counted.overflow, 0, "a key found no slot");
+    assert_eq!(
+        counted.trace_dropped, 0,
+        "the oracle needs the whole stream"
+    );
+    assert_eq!(counted.total_events, events.len() as u64);
+    assert_eq!(counted.per_site, reference.per_site);
+    assert_eq!(counted.conflict_pairs, reference.conflict_pairs);
+    assert_eq!(counted.unlock_underflows, reference.unlock_underflows);
+}
+
+/// `(Σ acquires, Σ admits, Σ releases)` over every `(site, mode)` cell.
+fn totals(m: &Metrics) -> (u64, u64, u64) {
+    m.per_site.values().fold((0, 0, 0), |(a, b, c), s| {
+        (a + s.acquires, b + s.admits, c + s.releases)
+    })
+}
+
+/// At the counter level a run is accounted for exactly: two threads × N
+/// ComputeIfAbsent operations leave Σacquires = Σadmits = Σreleases = 2N
+/// — the lock's own acquisition count — attributed to the compiler-stamped
+/// site, with no key lost to overflow and not one event traced. (The PR 15
+/// event ring retained 16 384 of these events per thread.)
+#[test]
+fn counters_account_for_every_operation_and_trace_nothing() {
+    use workloads::cia::ComputeIfAbsent;
+    use workloads::SyncKind;
+    const THREADS: u64 = 2;
+    const OPS: u64 = 60_000;
+
+    let _g = guard();
+    let bench = ComputeIfAbsent::new(SyncKind::Semantic, 1024);
+    telemetry::reset();
+    telemetry::enable();
+    assert_eq!(telemetry::level(), Level::Counters);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let bench = &bench;
+            scope.spawn(move || {
+                for i in 0..OPS {
+                    bench.invoke(Value((i * THREADS + t) % 1024));
+                }
+            });
+        }
+    });
+    telemetry::disable();
+    let counted = Metrics::collect();
+    let (events, dropped) = telemetry::snapshot();
+    telemetry::reset();
+
+    let issued = THREADS * OPS;
+    assert_eq!(totals(&counted), (issued, issued, issued));
+    assert_eq!(bench.contention().0, issued, "the lock's own count");
+    assert_eq!(counted.overflow, 0);
+    assert!(
+        counted
+            .per_site
+            .keys()
+            .all(|&(site, _)| site != telemetry::SITE_NONE),
+        "every cell is attributed to the stamped lock site"
+    );
+    let contended: u64 = counted.per_site.values().map(|s| s.contended).sum();
+    assert_eq!(
+        contended,
+        bench.contention().1,
+        "the lock's own contended count"
+    );
+    assert!(
+        events.is_empty() && dropped == 0,
+        "the counter level traces nothing"
+    );
+    assert_eq!((counted.total_events, counted.trace_dropped), (0, 0));
+}
+
+/// `Metrics::collect` never blocks a writer and never reads a value a
+/// cell did not hold: racing two recording threads, successive sums only
+/// grow and none exceeds the quiescent total.
+#[test]
+fn collect_racing_writers_is_monotone_and_bounded() {
+    use workloads::cia::ComputeIfAbsent;
+    use workloads::SyncKind;
+    /// Distinct sums the collector must see before the writers may stop:
+    /// each one is a `collect` that ran while they were recording.
+    const RACED: usize = 100;
+
+    let _g = guard();
+    let bench = ComputeIfAbsent::new(SyncKind::Semantic, 1024);
+    telemetry::reset();
+    telemetry::enable();
+    let start = Barrier::new(3);
+    let stop = AtomicBool::new(false);
+    let mut seen = vec![(0, 0, 0)];
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let (bench, start, stop) = (&bench, &start, &stop);
+            scope.spawn(move || {
+                start.wait();
+                let mut i = t;
+                // At least one operation after the last racing collect.
+                loop {
+                    bench.invoke(Value(i % 1024));
+                    i += 2;
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                }
+            });
+        }
+        start.wait();
+        while seen.len() <= RACED {
+            let sums = totals(&Metrics::collect());
+            if Some(&sums) != seen.last() {
+                seen.push(sums);
+            }
+        }
+        stop.store(true, Ordering::Release);
+    });
+    telemetry::disable();
+    let last = totals(&Metrics::collect());
+    telemetry::reset();
+
+    assert_eq!(last.0, last.1);
+    assert_eq!(last.1, last.2, "quiescent: every admission was released");
+    assert_eq!(last.1, bench.contention().0);
+    for pair in seen.windows(2) {
+        let ((a0, b0, c0), (a1, b1, c1)) = (pair[0], pair[1]);
+        assert!(
+            a0 <= a1 && b0 <= b1 && c0 <= c1,
+            "a sum went backwards: {pair:?}"
+        );
+    }
+    let (a, b, c) = *seen.last().unwrap();
+    assert!(a <= last.0 && b <= last.1 && c <= last.2);
 }
 
 /// The ComputeIfAbsent mode table: same-key transactions conflict
@@ -53,12 +201,12 @@ proptest! {
 
     /// Satellite 1a: chaos soaks — bounded acquisitions, injected
     /// timeouts and panics, watchdog aborts, poisoning — always leave a
-    /// balanced event stream behind.
+    /// balanced event stream behind, and in-place counters equal to it.
     #[test]
     fn chaos_event_stream_balances(seed in 0u64..1_000_000) {
         let _g = guard();
         telemetry::reset();
-        telemetry::enable();
+        telemetry::set_level(Level::Trace);
         let cfg = ChaosConfig {
             seed,
             threads: 3,
@@ -74,12 +222,14 @@ proptest! {
         let report = run_chaos(&cfg).expect("chaos invariants");
         telemetry::disable();
         let (events, dropped) = telemetry::snapshot();
+        let counted = Metrics::collect();
         telemetry::reset();
         assert_eq!(dropped, 0, "ring overflow would break the balance check");
         assert!(!events.is_empty(), "telemetry recorded nothing: {report:?}");
         if let Err(e) = telemetry::check_balanced(&events) {
             panic!("unbalanced stream (seed {seed}): {e}\nreport: {report:?}");
         }
+        assert_counters_equal_stream(&counted, &events);
     }
 }
 
@@ -122,16 +272,18 @@ fn interp_driver_stream_balances() {
     let interp = Arc::new(Interp::new(env, Strategy::Semantic));
 
     telemetry::reset();
-    telemetry::enable();
+    telemetry::set_level(Level::Trace);
     workloads::driver::run_fixed_ops(4, 150, 11, &|t, _| {
         let k = Value((t as u64 * 31) % 8);
         interp.run("counter", &[("map", map), ("k", k)]);
     });
     telemetry::disable();
     let (events, dropped) = telemetry::snapshot();
+    let counted = Metrics::collect();
     telemetry::reset();
     assert_eq!(dropped, 0);
     telemetry::check_balanced(&events).expect("interp driver stream balances");
+    assert_counters_equal_stream(&counted, &events);
     // Every admit is attributed to a compiler-stamped site, never the
     // "no site" sentinel.
     let admits: Vec<_> = events
@@ -155,7 +307,7 @@ fn cycle_abort_event_matches_would_deadlock_payload() {
 
     let _g = guard();
     telemetry::reset();
-    telemetry::enable();
+    telemetry::set_level(Level::Trace);
 
     let (table, site) = cia_table(8);
     let mode = table.select(site, &[Value(7)]); // self-conflicting
@@ -283,7 +435,7 @@ fn double_release_refused_poisons_and_reports() {
         let lock = SemLock::with_backend(table, WaitStrategy::Block, backend);
 
         telemetry::reset();
-        telemetry::enable();
+        telemetry::set_level(Level::Trace);
         lock.lock(mode);
         lock.unlock_checked(mode).expect("first release succeeds");
         let err = lock
@@ -291,7 +443,9 @@ fn double_release_refused_poisons_and_reports() {
             .expect_err("second release refused");
         telemetry::disable();
         let (events, _) = telemetry::snapshot();
+        let counted = Metrics::collect();
         telemetry::reset();
+        assert_eq!(counted.unlock_underflows, 1, "{backend:?}");
 
         assert!(
             matches!(err, LockError::UnlockUnderflow { instance, mode: m }
@@ -337,7 +491,7 @@ fn cycle_abort_fires_under_both_mech_layouts() {
     let _g = guard();
     for backend in [AdmissionBackend::Packed, AdmissionBackend::Wide] {
         telemetry::reset();
-        telemetry::enable();
+        telemetry::set_level(Level::Trace);
 
         let (table, site) = cia_table(8);
         let mode = table.select(site, &[Value(7)]); // self-conflicting
@@ -386,8 +540,9 @@ fn cycle_abort_fires_under_both_mech_layouts() {
     }
 }
 
-/// With the flag off, the whole stack records nothing — the disabled
-/// path is a branch, not a buffer.
+/// The level decides which tier records: `Off` touches neither — the
+/// disabled path is a branch, not a buffer — `Counters` counts in place
+/// and traces nothing, `Trace` does both; `reset` zeroes both tiers.
 #[test]
 fn disabled_flag_records_nothing() {
     let _g = guard();
@@ -396,12 +551,43 @@ fn disabled_flag_records_nothing() {
     let (table, site) = cia_table(8);
     let mode = table.select(site, &[Value(1)]);
     let lock = SemLock::new(table);
-    for _ in 0..100 {
-        let mut txn = Txn::new();
-        txn.lv(&lock, mode);
-        txn.unlock_all();
-    }
-    let (events, dropped) = telemetry::snapshot();
+    let run = |level: Level| {
+        telemetry::set_level(level);
+        for _ in 0..100 {
+            let mut txn = Txn::new();
+            txn.lv(&lock, mode);
+            txn.unlock_all();
+        }
+        telemetry::disable();
+        (Metrics::collect(), telemetry::snapshot())
+    };
+
+    let (counted, (events, dropped)) = run(Level::Off);
+    assert!(counted.per_site.is_empty() && counted.conflict_pairs.is_empty());
+    assert_eq!((counted.total_events, counted.overflow), (0, 0));
     assert!(events.is_empty());
     assert_eq!(dropped, 0);
+
+    let (counted, (events, _)) = run(Level::Counters);
+    assert_eq!(totals(&counted), (100, 100, 100));
+    assert!(events.is_empty(), "the counter level records no events");
+
+    let (counted, (events, _)) = run(Level::Trace);
+    assert_eq!(
+        totals(&counted),
+        (200, 200, 200),
+        "the counters keep counting"
+    );
+    assert_eq!(
+        events.len(),
+        300,
+        "start, admit and release per transaction"
+    );
+    assert_eq!(counted.total_events, 300);
+
+    telemetry::reset();
+    let (counted, (events, _)) = run(Level::Off);
+    assert!(counted.per_site.is_empty(), "reset zeroes the counters");
+    assert!(events.is_empty(), "reset empties the rings");
+    assert_eq!(counted.total_events, 0);
 }
