@@ -2,11 +2,9 @@
 //! micro-benchmark latencies (telemetry off vs on), the packed-vs-wide
 //! admission A/B, the Dwcas-vs-packed admission A/B, the contended
 //! park/handoff A/B (claim stack vs counters-under-mutex parking), the
-//! compiled-vs-tree-walk interpreter A/B, the tape-optimizer A/B (optimized vs raw compiled
-//! tape on an acquisition-heavy section; `--no-tape-opt` disables the
-//! optimizer and skips its gate), the open-loop server goodput/latency
-//! table, workload throughput sweeps, lock-contention counters, and
-//! telemetry summaries.
+//! compiled-vs-tree-walk interpreter A/B, the open-loop server
+//! goodput/latency table, workload throughput sweeps, lock-contention
+//! counters, and telemetry summaries.
 //!
 //! ```text
 //! cargo run --release --bin bench_json -- --out BENCH_PR10.json
@@ -47,17 +45,12 @@ struct Config {
     against: Vec<String>,
     tolerance: f64,
     telemetry_workloads: bool,
-    /// Escape hatch: run the compiled engine without the tape optimizer.
-    /// Both sides of the optimizer A/B then run the raw tape and its
-    /// gate is skipped — for bisecting whether a regression lives in the
-    /// optimizer or in the runtime underneath it.
-    no_tape_opt: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: bench_json [--ops N] [--threads 1,2,4] [--out FILE] \
-         [--against FILE]... [--tolerance F] [--telemetry] [--no-tape-opt]"
+         [--against FILE]... [--tolerance F] [--telemetry]"
     );
     std::process::exit(2);
 }
@@ -70,7 +63,6 @@ fn parse_args() -> Config {
         against: Vec::new(),
         tolerance: 0.10,
         telemetry_workloads: false,
-        no_tape_opt: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -94,7 +86,6 @@ fn parse_args() -> Config {
             "--against" => cfg.against.push(val(&mut args)),
             "--tolerance" => cfg.tolerance = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--telemetry" => cfg.telemetry_workloads = true,
-            "--no-tape-opt" => cfg.no_tape_opt = true,
             _ => usage(),
         }
     }
@@ -271,158 +262,6 @@ fn run_interp_ab(ops: u64) -> InterpAb {
         rounds: ROUNDS,
         treewalk_ns,
         compiled_ns,
-    }
-}
-
-/// The acquisition-heavy program the tape-optimizer A/B runs. Two
-/// sections over four partitions of distinct classes (distinct so the
-/// inserted locks stay individual `Lock` ops rather than one
-/// dynamic-order `LockGroup`):
-///
-/// * `prep` exists only to pin the global lock order — its access order
-///   gives Map < Set < WeakMap < Multimap ranks.
-/// * `audit` (the section measured) opens with a call on the
-///   highest-ranked class, so §3.3 future-receiver insertion emits all
-///   four first-time acquisitions as one adjacent run — which the
-///   optimizer collapses into a single four-member `AcquireBatch`. The
-///   re-acquisitions in front of every later call fuse away (held-
-///   instance no-ops), and the invariant in-loop acquisition rotates
-///   above the loop.
-///
-/// Synthesized `without_optimizations` so the A/B isolates the *tape*
-/// passes against the raw two-phase tape: with the IR Appendix-A pass
-/// also on, both tapes start near-minimal for this shape and the A/B
-/// would measure noise (in production the two passes compose; each
-/// covers shapes the other cannot see).
-fn opt_program() -> Arc<synth::SynthOutput> {
-    use synth::ir::{e::*, ptr, scalar, AtomicSection, Body};
-    use synth::{ClassRegistry, Synthesizer};
-    let mut registry = ClassRegistry::new();
-    for class in ["Map", "Set", "WeakMap", "Multimap"] {
-        registry.register(class, adts::schema_of(class), adts::spec_of(class));
-    }
-    let params = [
-        ptr("a", "Map"),
-        ptr("s", "Set"),
-        ptr("w", "WeakMap"),
-        ptr("m", "Multimap"),
-        scalar("k"),
-        scalar("v"),
-        scalar("i"),
-    ];
-    let prep = AtomicSection::new(
-        "prep",
-        params.clone(),
-        Body::new()
-            .call("a", "put", vec![var("k"), konst(1)])
-            .call("w", "put", vec![var("k"), konst(2)])
-            .call("m", "put", vec![var("k"), var("k")])
-            .call("s", "add", vec![var("k")])
-            .build(),
-    );
-    // Each in-loop call on `s` (the highest-ranked receiver) drags a
-    // four-member inserted lock set behind it — `a`, `w`, and `m` are
-    // re-read every iteration, so all four stay in every call's future
-    // set. Pre-opt that is 30 lock dispatches per iteration; post-opt
-    // the leading run batches, the batch hoists, and the rest fuse to
-    // zero.
-    let mut loop_body = Body::new();
-    for _ in 0..6 {
-        loop_body = loop_body.call_into("v", "s", "contains", vec![var("k")]);
-    }
-    loop_body = loop_body
-        .call_into("v", "a", "containsKey", vec![var("k")])
-        .call_into("v", "w", "get", vec![var("k")])
-        .call_into("v", "m", "get", vec![var("k")]);
-    let audit = AtomicSection::new(
-        "audit",
-        params,
-        Body::new()
-            .call_into("v", "s", "contains", vec![var("k")])
-            .call("a", "put", vec![var("k"), konst(1)])
-            .call("w", "put", vec![var("k"), konst(2)])
-            .call_into("v", "m", "get", vec![var("k")])
-            .assign("i", konst(0))
-            .while_loop(
-                lt(var("i"), konst(16)),
-                loop_body.assign("i", add(var("i"), konst(1))),
-            )
-            .build(),
-    );
-    Arc::new(
-        Synthesizer::new(registry)
-            .phi(Phi::fib(64))
-            .without_optimizations()
-            .synthesize(&[prep, audit]),
-    )
-}
-
-/// Tape-optimizer A/B: the same acquisition-heavy section on the same
-/// environment and instances, executed by the optimized compiled tape
-/// and by the raw (unoptimized) compiled tape, `ROUNDS` alternating
-/// passes, min per side — the headline number the PR 10 acceptance gate
-/// checks (`opt_over_unopt` at or below [`OPT_OVER_UNOPT_LIMIT`]).
-/// Under `--no-tape-opt` both sides run the raw tape and the gate is
-/// skipped.
-struct OptAb {
-    rounds: u32,
-    optimized_ns: f64,
-    unoptimized_ns: f64,
-    /// False under `--no-tape-opt` (the "optimized" column then ran the
-    /// raw tape too).
-    enabled: bool,
-}
-
-fn run_opt_ab(ops: u64, no_tape_opt: bool) -> OptAb {
-    use interp::{Engine, Env, Interp, Strategy};
-    const ROUNDS: u32 = 8;
-    let program = opt_program();
-    let env = Arc::new(Env::new(program));
-    let insts = [
-        ("a", env.new_instance("Map")),
-        ("s", env.new_instance("Set")),
-        ("w", env.new_instance("WeakMap")),
-        ("m", env.new_instance("Multimap")),
-    ];
-    let opt = {
-        let i = Interp::new(env.clone(), Strategy::Semantic).with_engine(Engine::Compiled);
-        if no_tape_opt {
-            i.without_tape_opt()
-        } else {
-            i
-        }
-    };
-    let unopt = Interp::new(env.clone(), Strategy::Semantic)
-        .with_engine(Engine::Compiled)
-        .without_tape_opt();
-    let iters = ops.clamp(1_000, 20_000);
-    let pass = |interp: &Interp| {
-        let mut k = 0u64;
-        one_pass_ns(iters, &mut || {
-            k = (k + 1) & 1023;
-            let args = [
-                ("a", insts[0].1),
-                ("s", insts[1].1),
-                ("w", insts[2].1),
-                ("m", insts[3].1),
-                ("k", Value(k)),
-            ];
-            interp.run_compiled("audit", &args);
-        })
-    };
-    // Warm both sides (and populate the key range) before timing.
-    pass(&opt);
-    pass(&unopt);
-    let (mut optimized_ns, mut unoptimized_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..ROUNDS {
-        optimized_ns = optimized_ns.min(pass(&opt));
-        unoptimized_ns = unoptimized_ns.min(pass(&unopt));
-    }
-    OptAb {
-        rounds: ROUNDS,
-        optimized_ns,
-        unoptimized_ns,
-        enabled: !no_tape_opt,
     }
 }
 
@@ -880,7 +719,6 @@ fn render_json(
     dwcas: &DwcasAb,
     handoff: &HandoffAb,
     interp_ab: &InterpAb,
-    opt_ab: &OptAb,
     server: &ServerReport,
     workloads: &[WorkloadResult],
     cfg: &Config,
@@ -985,23 +823,6 @@ fn render_json(
         fmt_f(interp_ab.compiled_ns / cal),
         fmt_f(interp_ab.compiled_ns / interp_ab.treewalk_ns),
         fmt_f(interp_ab.treewalk_ns / interp_ab.compiled_ns)
-    );
-    // The tape-optimizer A/B: optimized vs raw compiled tape on the
-    // acquisition-heavy section, ratio-gated like the interpreter A/B.
-    // `enabled: false` records a `--no-tape-opt` run (both columns then
-    // measured the raw tape; the gate was skipped).
-    let _ = writeln!(
-        out,
-        "  \"opt_over_unopt\": {{\"rounds\": {}, \"optimized_ns_per_op\": {}, \
-         \"unoptimized_ns_per_op\": {}, \"optimized_rel\": {}, \"unoptimized_rel\": {}, \
-         \"ratio\": {}, \"enabled\": {}}},",
-        opt_ab.rounds,
-        fmt_f(opt_ab.optimized_ns),
-        fmt_f(opt_ab.unoptimized_ns),
-        fmt_f(opt_ab.optimized_ns / cal),
-        fmt_f(opt_ab.unoptimized_ns / cal),
-        fmt_f(opt_ab.optimized_ns / opt_ab.unoptimized_ns),
-        opt_ab.enabled
     );
     // The open-loop server goodput table. Completion ratio and the
     // settled ledger are gated absolutely; goodput/p99 are gated as wide
@@ -1313,9 +1134,8 @@ fn check_server(cfg: &Config, server: &ServerReport) -> bool {
 }
 
 /// PR 5 acceptance, tightened by PR 10: the compiled engine must run the
-/// counter section at least 4× faster than the tree-walker (min-of-N
-/// interleaved A/B; the tape optimizer's fusion lifted the floor from
-/// the original 3×), with the regression tolerance as noise headroom.
+/// engine-gap section at least 4× faster than the tree-walker (min-of-N
+/// interleaved A/B), with the regression tolerance as noise headroom.
 fn check_interp(cfg: &Config, interp_ab: &InterpAb) -> bool {
     let speedup = interp_ab.treewalk_ns / interp_ab.compiled_ns;
     let floor = 4.0 * (1.0 - cfg.tolerance);
@@ -1331,45 +1151,6 @@ fn check_interp(cfg: &Config, interp_ab: &InterpAb) -> bool {
             "bench_json: interp A/B: tree-walk {:.1} ns, compiled {:.1} ns \
              (speedup {speedup:.2}x, min of {} interleaved rounds) — ok",
             interp_ab.treewalk_ns, interp_ab.compiled_ns, interp_ab.rounds
-        );
-        true
-    }
-}
-
-/// Ceiling on optimized-over-unoptimized compiled time for the
-/// acquisition-heavy section: the tape optimizer must buy at least a 10%
-/// win there, or fusion/batching/hoisting stopped firing on the shapes
-/// they were built for.
-const OPT_OVER_UNOPT_LIMIT: f64 = 0.9;
-
-/// PR 10 acceptance: on the acquisition-heavy `audit` section the
-/// optimized tape runs at or below [`OPT_OVER_UNOPT_LIMIT`] of the raw
-/// tape (min-of-N interleaved A/B), with the regression tolerance as
-/// noise headroom. Skipped (with a note) under `--no-tape-opt` — both
-/// columns then measured the raw tape.
-fn check_opt(cfg: &Config, opt_ab: &OptAb) -> bool {
-    let ratio = opt_ab.optimized_ns / opt_ab.unoptimized_ns;
-    if !opt_ab.enabled {
-        eprintln!(
-            "bench_json: tape-opt A/B: --no-tape-opt: raw {:.1} ns vs raw {:.1} ns \
-             (ratio {ratio:.3}) — gate skipped",
-            opt_ab.optimized_ns, opt_ab.unoptimized_ns
-        );
-        return true;
-    }
-    let limit = OPT_OVER_UNOPT_LIMIT * (1.0 + cfg.tolerance);
-    if ratio > limit {
-        eprintln!(
-            "bench_json: TAPE-OPT REGRESSION: optimized {:.1} ns vs unoptimized {:.1} ns \
-             (ratio {ratio:.3} > {limit:.3})",
-            opt_ab.optimized_ns, opt_ab.unoptimized_ns
-        );
-        false
-    } else {
-        eprintln!(
-            "bench_json: tape-opt A/B: optimized {:.1} ns, unoptimized {:.1} ns \
-             (ratio {ratio:.3} <= {limit:.3}, min of {} interleaved rounds) — ok",
-            opt_ab.optimized_ns, opt_ab.unoptimized_ns, opt_ab.rounds
         );
         true
     }
@@ -1421,7 +1202,6 @@ fn main() {
     let dwcas = run_dwcas_ab(cfg.ops);
     let handoff = run_handoff_ab(cfg.ops);
     let interp_ab = run_interp_ab(cfg.ops);
-    let opt_ab = run_opt_ab(cfg.ops, cfg.no_tape_opt);
     let server = run_server_bench(cfg.ops);
     let tel = &server.telemetry;
     eprintln!(
@@ -1430,7 +1210,7 @@ fn main() {
     );
     let workloads = run_workloads(&cfg);
     let json = render_json(
-        cal, &micros, &admission, &dwcas, &handoff, &interp_ab, &opt_ab, &server, &workloads, &cfg,
+        cal, &micros, &admission, &dwcas, &handoff, &interp_ab, &server, &workloads, &cfg,
     );
     match &cfg.out {
         Some(path) => {
@@ -1444,7 +1224,6 @@ fn main() {
         & check_dwcas(&cfg, &dwcas)
         & check_handoff(&cfg, &handoff)
         & check_interp(&cfg, &interp_ab)
-        & check_opt(&cfg, &opt_ab)
         & check_server(&cfg, &server)
         & check_telemetry(&workloads)
         & check_regressions(&cfg, &measured);

@@ -33,7 +33,6 @@ use crate::frame::Frame;
 use semlock::error::LockError;
 use semlock::mode::{LockSiteId, ModeId, ModeTable};
 use semlock::schema::MethodIdx;
-use semlock::telemetry;
 use semlock::value::Value;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -51,9 +50,6 @@ struct ResolvedSite {
 /// One compiled section: the lowered tape plus environment-resolved pools.
 pub struct CompiledSection {
     tape: Tape,
-    /// What [`synth::tape_opt`] did to this tape (zeroed when compiled
-    /// with optimization disabled).
-    opt_stats: synth::tape_opt::TapeOptStats,
     /// Parallel to `tape.calls`.
     methods: Box<[MethodIdx]>,
     /// Parallel to `tape.sites`.
@@ -80,11 +76,6 @@ impl CompiledSection {
     /// Number of ops on the tape.
     pub fn op_count(&self) -> usize {
         self.tape.ops.len()
-    }
-
-    /// The tape-optimizer transformation counts for this section.
-    pub fn opt_stats(&self) -> synth::tape_opt::TapeOptStats {
-        self.opt_stats
     }
 
     /// The lock sites this compilation actually resolved, as facts the
@@ -160,7 +151,6 @@ pub fn compile_tape(env: &Env, tape: Tape) -> CompiledSection {
     }
     CompiledSection {
         tape,
-        opt_stats: synth::tape_opt::TapeOptStats::default(),
         methods,
         sites,
         wrapper_binds,
@@ -169,53 +159,20 @@ pub fn compile_tape(env: &Env, tape: Tape) -> CompiledSection {
     }
 }
 
-/// Compile one section with the tape optimizer enabled.
+/// Lower and compile one section.
 pub fn compile_section(env: &Env, section: &synth::ir::AtomicSection) -> CompiledSection {
-    compile_section_opt(env, section, true)
-}
-
-/// Compile one section, optionally running the [`synth::tape_opt`]
-/// passes between lowering and resolution.
-pub fn compile_section_opt(
-    env: &Env,
-    section: &synth::ir::AtomicSection,
-    opt: bool,
-) -> CompiledSection {
-    let raw = lower::lower_section(section, &env.program.tables);
-    if !opt {
-        return compile_tape(env, raw);
-    }
-    let (tape, stats) = synth::tape_opt::optimize(&raw);
-    let mut cs = compile_tape(env, tape);
-    cs.opt_stats = stats;
-    cs
+    compile_tape(env, lower::lower_section(section, &env.program.tables))
 }
 
 /// Compile every section of the environment's program. Returned as a
 /// name-ordered list: programs hold a handful of sections with short
 /// names, so lookup is a linear scan rather than a string hash.
 pub fn compile_program(env: &Env) -> Vec<(String, Arc<CompiledSection>)> {
-    compile_program_opt(env, true)
-}
-
-/// [`compile_program`] with the tape optimizer switchable (see
-/// [`crate::Interp::without_tape_opt`]).
-pub fn compile_program_opt(env: &Env, opt: bool) -> Vec<(String, Arc<CompiledSection>)> {
     env.program
         .sections
         .iter()
-        .map(|s| (s.name.clone(), Arc::new(compile_section_opt(env, s, opt))))
+        .map(|s| (s.name.clone(), Arc::new(compile_section(env, s))))
         .collect()
-}
-
-/// One member of an in-flight [`LowOp::AcquireBatch`], after the
-/// per-member prologue (null/held skips, φ mode selection, checker
-/// registration, Lock fault boundary) ran in original op order.
-struct BatchMember {
-    /// Instance id (the pool outlives any borrow of the environment).
-    id: u64,
-    mode: ModeId,
-    stable_id: u32,
 }
 
 /// Per-thread run scratch, recycled across compiled runs so a warm run
@@ -226,11 +183,6 @@ struct BatchMember {
 struct Scratch {
     regs: Vec<Value>,
     group: Vec<(u64, Value, u16)>,
-    /// Batched-admission member buffer (pool order).
-    batch: Vec<BatchMember>,
-    /// Canonical admission order: indices into `batch`, sorted by
-    /// instance unique id.
-    border: Vec<usize>,
     st: RunState,
 }
 
@@ -249,8 +201,6 @@ fn scratch_take(txn: u64, init: &[Value]) -> Box<Scratch> {
             Box::new(Scratch {
                 regs: Vec::new(),
                 group: Vec::new(),
-                batch: Vec::new(),
-                border: Vec::new(),
                 st: RunState::new(0),
             })
         });
@@ -258,8 +208,6 @@ fn scratch_take(txn: u64, init: &[Value]) -> Box<Scratch> {
     s.regs.clear();
     s.regs.extend_from_slice(init);
     s.group.clear();
-    s.batch.clear();
-    s.border.clear();
     s
 }
 
@@ -340,13 +288,7 @@ fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Res
     // `group` is the group-lock scratch: (instance id, handle, site
     // index). Everything lives in the pooled `Scratch`, so a warm run
     // allocates nothing.
-    let Scratch {
-        regs,
-        group,
-        batch,
-        border,
-        st,
-    } = scratch;
+    let Scratch { regs, group, st } = scratch;
     let mut fuel: u64 = FUEL;
     let mut pc: usize = 0;
     while pc < ops.len() {
@@ -435,25 +377,6 @@ fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Res
                     acquire_site(interp, cs, site, handle, regs, st)?;
                 }
             }
-            LowOp::AcquireBatch { start, len } => {
-                let entries = &cs.tape.group_pool[start as usize..start as usize + len as usize];
-                match interp.strategy {
-                    Strategy::Global => {}
-                    Strategy::TwoPhase => {
-                        // Identical to the per-op path: plain locks in
-                        // original op order with held-instance dedup.
-                        for &(slot, _) in entries {
-                            let handle = regs[slot as usize];
-                            if !handle.is_null() {
-                                st.lock_plain(env.resolve_ref(handle));
-                            }
-                        }
-                    }
-                    Strategy::Semantic => {
-                        acquire_batch(interp, cs, entries, regs, batch, border, st)?;
-                    }
-                }
-            }
             LowOp::UnlockAllOf { recv } => {
                 let handle = regs[recv as usize];
                 if !handle.is_null() {
@@ -495,8 +418,7 @@ fn acquire_site(
             let adt = interp.env.resolve_ref(handle);
             let rs = &cs.sites[site as usize];
             let mode = select_mode(rs, regs, st);
-            interp.lock_prologue(adt, &rs.table, mode, st)?;
-            interp.acquire_semantic_admit(adt, mode, rs.stable_id, st)
+            interp.acquire_semantic(adt, &rs.table, mode, rs.stable_id, st)
         }
     }
 }
@@ -510,106 +432,4 @@ fn select_mode(rs: &ResolvedSite, regs: &[Value], st: &mut RunState) -> ModeId {
     let mode = rs.table.select(rs.rt_site, &keys);
     st.scratch_keys = keys;
     mode
-}
-
-/// Batched semantic admission for a [`LowOp::AcquireBatch`].
-///
-/// Phase A replays the unoptimized per-op prologue in original op order:
-/// null and held-instance skips, in-batch dedup (a second acquisition of
-/// an instance the batch already contains would have been a held no-op),
-/// φ mode selection, checker registration, and the Lock fault boundary —
-/// so the per-transaction fault-step ordinals are exactly those the
-/// individual `Lock` ops would have consumed.
-///
-/// Phase B admits the surviving members through the non-blocking group
-/// fast path in canonical unique-id order (Fig. 12): one `try_lock` per
-/// member — inside the manager, one admission CAS per partition word.
-/// On any refusal the already-admitted members are rolled back in
-/// reverse canonical order through the full unlock path (waiter handoff
-/// runs), and the batch escalates to the sequential blocking protocol in
-/// original op order — byte-identical behavior, error identity, and
-/// partial-hold state to the unoptimized tape under contention.
-fn acquire_batch(
-    interp: &Interp,
-    cs: &CompiledSection,
-    entries: &[(u16, u16)],
-    regs: &[Value],
-    batch: &mut Vec<BatchMember>,
-    border: &mut Vec<usize>,
-    st: &mut RunState,
-) -> Result<(), LockError> {
-    batch.clear();
-    for &(slot, site) in entries {
-        let handle = regs[slot as usize];
-        if handle.is_null()
-            || st.held_sem.iter().any(|&(id, _)| id == handle.0)
-            || batch.iter().any(|m| m.id == handle.0)
-        {
-            continue;
-        }
-        let adt = interp.env.resolve_ref(handle);
-        let rs = &cs.sites[site as usize];
-        let mode = select_mode(rs, regs, st);
-        interp.lock_prologue(adt, &rs.table, mode, st)?;
-        batch.push(BatchMember {
-            id: adt.id,
-            mode,
-            stable_id: rs.stable_id,
-        });
-    }
-    if batch.len() <= 1 {
-        if let Some(m) = batch.pop() {
-            return interp.acquire_semantic_admit(interp.instance(m.id), m.mode, m.stable_id, st);
-        }
-        return Ok(());
-    }
-    // An instance's id is its lock's `unique()`: sorting by id is the
-    // canonical order.
-    border.clear();
-    border.extend(0..batch.len());
-    border.sort_unstable_by_key(|&i| batch[i].id);
-    let mut refused = None;
-    for (k, &i) in border.iter().enumerate() {
-        let m = &batch[i];
-        if telemetry::enabled() {
-            telemetry::set_context(st.txn, m.stable_id);
-        }
-        if interp
-            .instance(m.id)
-            .sem()
-            .try_lock_checked(m.mode)
-            .is_err()
-        {
-            refused = Some(k);
-            break;
-        }
-    }
-    match refused {
-        None => {
-            // All admitted; record in original op order so the held set
-            // (and therefore release order, unlock fault coordinates,
-            // and checker callbacks) matches the unoptimized tape.
-            for m in batch.drain(..) {
-                if let Some(c) = &interp.checker {
-                    c.on_lock(st.txn, m.id, m.mode);
-                }
-                st.held_sem.push((m.id, m.mode));
-                st.held_sites.push(m.stable_id);
-            }
-            Ok(())
-        }
-        Some(k) => {
-            for &i in border[..k].iter().rev() {
-                let m = &batch[i];
-                if telemetry::enabled() {
-                    telemetry::set_context(st.txn, m.stable_id);
-                }
-                interp.instance(m.id).sem().unlock(m.mode);
-            }
-            for m in batch.drain(..) {
-                interp.acquire_semantic_admit(interp.instance(m.id), m.mode, m.stable_id, st)?;
-            }
-            Ok(())
-        }
-    }
 }

@@ -84,10 +84,6 @@ pub struct Interp {
     pub(crate) faults: Option<Arc<FaultPlan>>,
     pub(crate) lock_timeout: Option<Duration>,
     engine: Engine,
-    /// Run the [`synth::tape_opt`] passes when compiling sections
-    /// (default). [`Interp::without_tape_opt`] disables them — the A/B
-    /// escape hatch for the bench harness and the equivalence tests.
-    tape_opt: bool,
     /// Compiled sections in program order; looked up by linear scan (few
     /// sections, short names — cheaper than hashing on the hot path).
     compiled: Vec<(String, Arc<CompiledSection>)>,
@@ -212,7 +208,6 @@ impl Interp {
             faults: None,
             lock_timeout: None,
             engine: Engine::TreeWalk,
-            tape_opt: true,
             compiled: Vec::new(),
             txn_ids: None,
         }
@@ -225,24 +220,9 @@ impl Interp {
     /// callbacks, poisoning, telemetry attribution).
     pub fn with_engine(mut self, engine: Engine) -> Interp {
         if engine == Engine::Compiled && self.compiled.is_empty() {
-            self.compiled = compile::compile_program_opt(&self.env, self.tape_opt);
+            self.compiled = compile::compile_program(&self.env);
         }
         self.engine = engine;
-        self
-    }
-
-    /// Compile sections *without* the [`synth::tape_opt`] passes
-    /// (acquisition fusion, batched group admission, guarded loop
-    /// rotation). The optimized form is behaviorally identical — this
-    /// switch exists so the bench harness can measure the optimizer's
-    /// win and the equivalence tests can hold all three forms (tree-walk,
-    /// compiled raw, compiled optimized) to the same observable behavior.
-    /// Recompiles if an engine was already selected.
-    pub fn without_tape_opt(mut self) -> Interp {
-        self.tape_opt = false;
-        if !self.compiled.is_empty() {
-            self.compiled = compile::compile_program_opt(&self.env, false);
-        }
         self
     }
 
@@ -565,7 +545,7 @@ impl Interp {
 
     /// The instance a held-set entry names.
     #[inline]
-    pub(crate) fn instance(&self, id: u64) -> &SharedAdt {
+    fn instance(&self, id: u64) -> &SharedAdt {
         self.env.registry().get_ref(id)
     }
 
@@ -776,20 +756,16 @@ impl Interp {
         result
     }
 
-    /// The pre-admission half of a semantic acquisition, after the held-set
-    /// dedup check and mode selection: checker registration and the Lock
-    /// fault boundary. Shared by both engines, and split out so the
-    /// compiled engine's batched admission ([`LowOp::AcquireBatch`],
-    /// see `crate::compile`) can run every member's prologue in original
-    /// op order — consuming the same per-transaction fault-step ordinals
-    /// as the unoptimized tape — before admitting the group.
-    ///
-    /// [`LowOp::AcquireBatch`]: synth::lower::LowOp::AcquireBatch
-    pub(crate) fn lock_prologue(
+    /// One semantic acquisition, after the held-set dedup check and mode
+    /// selection; shared by both engines. In order: checker registration,
+    /// the Lock fault boundary, telemetry attribution, the (possibly
+    /// bounded) wait, the checker callback, and the held-set push.
+    pub(crate) fn acquire_semantic(
         &self,
         adt: &SharedAdt,
         table: &Arc<ModeTable>,
         mode: ModeId,
+        stable_id: u32,
         st: &mut RunState,
     ) -> Result<(), LockError> {
         if let Some(c) = &self.checker {
@@ -802,18 +778,6 @@ impl Interp {
                 waited: Duration::ZERO,
             });
         }
-        Ok(())
-    }
-
-    /// The admission half: telemetry attribution, the (possibly bounded)
-    /// wait, the checker callback, and the held-set push.
-    pub(crate) fn acquire_semantic_admit(
-        &self,
-        adt: &SharedAdt,
-        mode: ModeId,
-        stable_id: u32,
-        st: &mut RunState,
-    ) -> Result<(), LockError> {
         if telemetry::enabled() {
             telemetry::set_context(st.txn, stable_id);
         }
@@ -864,8 +828,7 @@ impl Interp {
                 keys.extend(decl.keys.iter().map(|k| st.frame[k]));
                 let mode = table.select(rt_site, &keys);
                 st.scratch_keys = keys;
-                self.lock_prologue(adt, table, mode, st)?;
-                self.acquire_semantic_admit(adt, mode, decl.stable_id, st)?;
+                self.acquire_semantic(adt, table, mode, decl.stable_id, st)?;
             }
         }
         Ok(())

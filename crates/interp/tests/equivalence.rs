@@ -1,10 +1,8 @@
-//! Tree-walk vs compiled vs compiled-optimized equivalence.
+//! Tree-walk vs compiled equivalence.
 //!
 //! The compiled engine (`interp::compile`) must be observationally
 //! indistinguishable from the tree-walker, which remains the reference
-//! oracle. These tests run a **three-way matrix** — tree-walk,
-//! compiled with the tape optimizer disabled, and compiled with the
-//! optimizer on — against the **same** environment:
+//! oracle. These tests run both engines against the **same** environment:
 //!
 //! * Instance ids and stable site ids are then shared, so telemetry
 //!   events are directly comparable field by field.
@@ -15,15 +13,9 @@
 //! * Between phases the tracked ADT instances are wiped back to their
 //!   initial (empty) state and telemetry rings are reset.
 //!
-//! Unoptimized tapes are held to *bitwise* agreement on results,
-//! lock/unlock telemetry sequences, fault injections, and poison
-//! outcomes. Optimized tapes are held to the same bitwise agreement on
-//! results, state, and poisons, plus the documented event-stream
-//! relaxation (see [`assert_phases_equal_optimized`]): batched group
-//! admission replays every member's fault prologue before admitting
-//! anyone, so a fault on a later member legally suppresses earlier
-//! members' Admit/Release pairs, and the sorted fast pass may reorder
-//! admissions within a transaction.
+//! The compiled engine is held to *bitwise* agreement with the
+//! tree-walker on results, lock/unlock telemetry sequences, fault
+//! injections, poison outcomes and final ADT state, on every case.
 //!
 //! The proptest mirrors `crates/semlock/tests/fastpath.rs`: random
 //! programs (branches, loops, colliding keys) under seeded schedules and
@@ -34,7 +26,6 @@ use proptest::prelude::*;
 use semlock::fault::{self, FaultPlan};
 use semlock::telemetry::{self, EventKind, WaitCause};
 use semlock::value::Value;
-use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use synth::ir::{e::*, fig1_section, fig7_section, fig9_section, ptr, scalar, AtomicSection, Body};
@@ -136,76 +127,6 @@ fn assert_phases_equal(tree: &PhaseResult, comp: &PhaseResult) {
     );
 }
 
-/// Per-transaction event multisets.
-fn by_txn(events: &[EventKey]) -> BTreeMap<u64, BTreeMap<EventKey, i64>> {
-    let mut m: BTreeMap<u64, BTreeMap<EventKey, i64>> = BTreeMap::new();
-    for e in events {
-        *m.entry(e.2).or_default().entry(*e).or_insert(0) += 1;
-    }
-    m
-}
-
-/// The optimized-tape relaxation (the documented invariant).
-///
-/// Results, poison outcomes, and final ADT state must stay bitwise
-/// identical to the reference, but the telemetry stream may legally
-/// *shrink*: `AcquireBatch` replays every member's fault prologue
-/// before admitting anyone, so when a later member's acquisition
-/// faults, earlier members were never admitted — the unoptimized
-/// engine admitted them and rolled them back, emitting Admit/Release
-/// pairs the batch never produces. The sorted fast pass may also
-/// reorder admissions *within* one transaction. What optimized tapes
-/// are held to instead:
-///
-/// * per-transaction event multisets are a subset of the reference's,
-/// * every Admit in the optimized stream is balanced by a Release for
-///   the same (txn, instance, mode) — nothing leaks, and
-/// * with no injected faults the per-transaction multisets are equal
-///   (shrinkage only ever comes from a faulted prologue).
-fn assert_phases_equal_optimized(tree: &PhaseResult, opt: &PhaseResult, fault_free: bool) {
-    assert_eq!(
-        tree.outcomes, opt.outcomes,
-        "per-run results diverge (optimized)"
-    );
-    assert_eq!(
-        tree.poisons, opt.poisons,
-        "poison outcomes diverge (optimized)"
-    );
-    assert_eq!(
-        tree.fingerprint, opt.fingerprint,
-        "final ADT state diverges (optimized)"
-    );
-    let t = by_txn(&tree.events);
-    let o = by_txn(&opt.events);
-    if fault_free {
-        assert_eq!(
-            t, o,
-            "fault-free optimized events must match per-txn multisets"
-        );
-    } else {
-        for (txn, evs) in &o {
-            for (e, n) in evs {
-                let have = t.get(txn).and_then(|b| b.get(e)).copied().unwrap_or(0);
-                assert!(
-                    *n <= have,
-                    "txn {txn}: optimized emitted {n}x {e:?}, reference only {have}x"
-                );
-            }
-        }
-    }
-    let mut balance: BTreeMap<(u64, u64, u32), i64> = BTreeMap::new();
-    for e in &opt.events {
-        match e.0 {
-            EventKind::Admit => *balance.entry((e.2, e.3, e.4)).or_insert(0) += 1,
-            EventKind::Release => *balance.entry((e.2, e.3, e.4)).or_insert(0) -= 1,
-            _ => {}
-        }
-    }
-    for (k, v) in balance {
-        assert_eq!(v, 0, "unbalanced admission {k:?} in optimized stream");
-    }
-}
-
 /// Build a random section over a Map and a Set from an opcode list.
 /// Opcodes 0..7 are leaf statements; 7 wraps two leaves in an if/else on
 /// `v == null`; 8 wraps a leaf in a bounded counting loop.
@@ -256,8 +177,7 @@ fn build_section(spec: &[(u8, u64, u64)]) -> AtomicSection {
     )
 }
 
-/// Shared harness: same env, same txn base, three engines (tree-walk,
-/// compiled-unoptimized, compiled-optimized), full comparison matrix.
+/// Shared harness: same env, same txn base, both engines.
 fn check_equivalence(
     program: Arc<SynthOutput>,
     section: &str,
@@ -282,11 +202,6 @@ fn check_equivalence(
     let tree = Interp::new(env.clone(), Strategy::Semantic)
         .with_faults(plan.clone())
         .with_txn_ids(txn_base);
-    let unopt = Interp::new(env.clone(), Strategy::Semantic)
-        .with_faults(plan.clone())
-        .with_txn_ids(txn_base)
-        .with_engine(Engine::Compiled)
-        .without_tape_opt();
     let comp = Interp::new(env.clone(), Strategy::Semantic)
         .with_faults(plan)
         .with_txn_ids(txn_base)
@@ -360,13 +275,9 @@ fn check_equivalence(
         }
     };
     let a = run(&tree);
-    let b = run(&unopt);
-    let c = run(&comp);
+    let b = run(&comp);
     telemetry::set_enabled(false);
-    // Unoptimized tapes are held to bitwise event-sequence equality; the
-    // optimizer gets the documented relaxation on the event stream only.
     assert_phases_equal(&a, &b);
-    assert_phases_equal_optimized(&a, &c, panic_ppm == 0 && timeout_ppm == 0);
 }
 
 #[test]
@@ -427,11 +338,6 @@ fn fig7_equivalent_with_faults() {
     let tree = Interp::new(env.clone(), Strategy::Semantic)
         .with_faults(plan.clone())
         .with_txn_ids(base);
-    let unopt = Interp::new(env.clone(), Strategy::Semantic)
-        .with_faults(plan.clone())
-        .with_txn_ids(base)
-        .with_engine(Engine::Compiled)
-        .without_tape_opt();
     let comp = Interp::new(env.clone(), Strategy::Semantic)
         .with_faults(plan)
         .with_txn_ids(base)
@@ -439,6 +345,7 @@ fn fig7_equivalent_with_faults() {
     let run = |interp: &Interp| {
         telemetry::reset();
         let mut outcomes = Vec::new();
+        let mut poisons = Vec::new();
         for i in 0..100u64 {
             let (k1, k2) = (i % KEYS, (i + 1) % KEYS);
             let r = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -459,15 +366,19 @@ fn fig7_equivalent_with_faults() {
                     Outcome::Panic(format!("{:?}", ip.point), ip.txn, ip.instance)
                 }
             });
+            let mut p = Vec::new();
             for h in [m, q].iter().chain(&sets) {
                 let adt = env.resolve(*h);
+                let poisoned = adt.sem.as_ref().is_some_and(|sem| sem.is_poisoned());
+                p.push(poisoned);
                 if let Some(sem) = &adt.sem {
-                    if sem.is_poisoned() {
+                    if poisoned {
                         sem.clear_poison();
                     }
                     assert_eq!(sem.total_holds(), 0, "mode leak");
                 }
             }
+            poisons.push(p);
         }
         let (events, dropped) = telemetry::snapshot();
         assert_eq!(dropped, 0);
@@ -503,29 +414,18 @@ fn fig7_equivalent_with_faults() {
                 s_adt.obj.invoke(rm, &[Value(v)]);
             }
         }
-        (outcomes, events, drained)
+        // The queue's drained contents are the observable final state.
+        PhaseResult {
+            outcomes,
+            events,
+            poisons,
+            fingerprint: drained,
+        }
     };
     let a = run(&tree);
-    let b = run(&unopt);
-    let c = run(&comp);
+    let b = run(&comp);
     telemetry::set_enabled(false);
-    assert_eq!(a.0, b.0, "per-run results diverge");
-    assert_eq!(a.2, b.2, "queue contents diverge");
-    assert_eq!(a.1, b.1, "event sequences diverge");
-    // Optimized tape: same results and effects; events under the
-    // documented per-txn multiset-subset relaxation.
-    assert_eq!(a.0, c.0, "per-run results diverge (optimized)");
-    assert_eq!(a.2, c.2, "queue contents diverge (optimized)");
-    let (t, o) = (by_txn(&a.1), by_txn(&c.1));
-    for (txn, evs) in &o {
-        for (e, n) in evs {
-            let have = t.get(txn).and_then(|b| b.get(e)).copied().unwrap_or(0);
-            assert!(
-                *n <= have,
-                "txn {txn}: optimized emitted {n}x {e:?}, reference only {have}x"
-            );
-        }
-    }
+    assert_phases_equal(&a, &b);
 }
 
 #[test]

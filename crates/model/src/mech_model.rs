@@ -360,12 +360,10 @@ impl<W: ModelWord> WordMech<W> {
         cur & W::Int::truncate(mask) != W::Int::ZERO || field_of(cur, local) == FIELD_MAX
     }
 
-    /// `AdmitWord::try_admit`, orderings from the profile. Public so the
-    /// batched group probe ([`group_probe`]) can drive the same single-CAS
-    /// admission the runtime fast pass uses. `mask` is
+    /// `AdmitWord::try_admit`, orderings from the profile. `mask` is
     /// `semlock::mech::conflict_mask` of the mode's conflicts, at the
     /// 128-bit width as `ConflictSet` carries it.
-    pub fn try_admit(&self, local: u32, mask: u128) -> bool {
+    fn try_admit(&self, local: u32, mask: u128) -> bool {
         let one = W::Int::ONE << field_shift(local);
         let mut cur = self.word.load(self.profile.word_admit_load);
         loop {
@@ -460,47 +458,6 @@ impl<W: ModelWord> WordMech<W> {
         }
     }
 
-    /// `AdmitWord::try_admit_many`: one combined admission attempt for
-    /// several modes of this partition word. The union of the members'
-    /// conflict masks is checked and every increment applied in a single
-    /// CAS — a refused group leaves the word untouched, which is the
-    /// all-or-nothing property the scenarios pin.
-    pub fn try_admit_group(&self, members: &[(u32, u128)]) -> bool {
-        let mut mask = W::Int::ZERO;
-        let mut add = W::Int::ZERO;
-        for &(local, m) in members {
-            mask = mask | W::Int::truncate(m);
-            add = add + (W::Int::ONE << field_shift(local));
-        }
-        let mut cur = self.word.load(self.profile.word_admit_load);
-        loop {
-            if cur & mask != W::Int::ZERO {
-                return false;
-            }
-            for &(local, _) in members {
-                let want = members.iter().filter(|x| x.0 == local).count() as u64;
-                if field_of(cur, local) + want > FIELD_MAX {
-                    return false;
-                }
-            }
-            match self.word.compare_exchange_weak(
-                cur,
-                cur + add,
-                self.profile.word_admit_cas_ok,
-                self.profile.word_admit_cas_fail,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// The [`GroupRollback::SkipHandoff`] mutant body: the checked
-    /// CAS-decrement of `unlock` without the waiter handoff.
-    pub fn unlock_no_handoff(&self, local: u32) -> bool {
-        self.release_decrement(local).is_some()
-    }
-
     /// Latest word (harness asserts after all threads joined, when the
     /// joiner's view pins the latest store).
     pub fn word(&self) -> W::Int {
@@ -511,60 +468,6 @@ impl<W: ModelWord> WordMech<W> {
     pub fn nodes_allocated(&self) -> u32 {
         self.stack.allocated()
     }
-}
-
-/// How the batched group acquisition rolls back fast-passed members when
-/// a later member's admission is refused
-/// (`interp::compile`'s `AcquireBatch` / `semlock::txn::Txn::acquire_group`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GroupRollback {
-    /// The shipped protocol: reverse acquisition order, full `unlock`
-    /// (decrement **plus** waiter handoff) of every member admitted so
-    /// far — a waiter that parked behind a fast-passed member is handed
-    /// the partition back.
-    Correct,
-    /// Mutant: decrement without the waiter handoff. A waiter parked
-    /// behind a fast-passed member is never woken; the checker reports
-    /// the lost wakeup as a deadlock.
-    SkipHandoff,
-    /// Mutant: also "roll back" the member whose admission was refused.
-    /// That member's count was never incremented, so the decrement can
-    /// steal a hold from a concurrent holder of the same mode — the
-    /// victim's own release then underflows.
-    IncludeFailed,
-}
-
-/// The batched multi-partition fast pass: probe each member's partition
-/// word with one admission CAS, and on refusal roll back every
-/// fast-passed member according to `rollback`. Returns whether the whole
-/// group was admitted. (On refusal the runtime escalates to sequential
-/// blocking acquisition; the scenarios drive that separately so the
-/// rollback window itself stays small enough to check exhaustively.)
-pub fn group_probe(members: &[(Arc<PackedMech>, u32, u128)], rollback: GroupRollback) -> bool {
-    let mut passed = 0;
-    while passed < members.len() {
-        let (m, local, mask) = &members[passed];
-        if !m.try_admit(*local, *mask) {
-            break;
-        }
-        passed += 1;
-    }
-    if passed == members.len() {
-        return true;
-    }
-    let upto = if rollback == GroupRollback::IncludeFailed {
-        passed + 1
-    } else {
-        passed
-    };
-    for (m, local, _) in members[..upto].iter().rev() {
-        if rollback == GroupRollback::SkipHandoff {
-            m.unlock_no_handoff(*local);
-        } else {
-            m.unlock(*local);
-        }
-    }
-    false
 }
 
 /// The wide (per-mode counters) blocking mechanism over the model shims.

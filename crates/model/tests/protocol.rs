@@ -8,13 +8,10 @@
 //! lost-wakeup deadlock), while the unmutated profile passes the very
 //! same scenarios. CI fails if any mutant survives.
 
-use model::mech_model::{
-    group_probe, Admitted, GroupRollback, ModelWord, OrderingProfile, PackedMech, WideMech,
-    WordMech,
-};
+use model::mech_model::{Admitted, ModelWord, OrderingProfile, PackedMech, WideMech, WordMech};
 use model::sync::{thread, AtomicU128, AtomicU64, Ordering};
 use model::{Checker, Stats, Violation, ViolationKind};
-use semlock::mech::{conflict_mask, field_of, WordInt};
+use semlock::mech::{conflict_mask, WordInt};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -477,181 +474,6 @@ fn packed_three_thread_scenario(profile: OrderingProfile) -> Result<Stats, Box<V
             }
             assert_eq!(mech.word(), 0);
         })
-}
-
-/// One partition word, two threads: main holds mode 1 for the prober's
-/// whole lifetime, so the combined group admission for modes {0, 2}
-/// (0 conflicting with 1) must be refused — and a refused group must
-/// leave the word exactly as it found it: no member's count may leak.
-/// With the conflict released, the same group admits whole in one CAS.
-fn packed_group_word_all_or_nothing_scenario(
-    profile: OrderingProfile,
-) -> Result<Stats, Box<Violation>> {
-    Checker::new().preemption_bound(3).check(move || {
-        let mech = PackedMech::new(profile, PROBES);
-        mech.lock(1, 0);
-        let m2 = mech.clone();
-        let prober = thread::spawn(move || {
-            let members = [(0u32, conflict_mask(&[1])), (2u32, 0u128)];
-            assert!(
-                !m2.try_admit_group(&members),
-                "group admitted against a held conflict"
-            );
-            let w = m2.word();
-            assert_eq!(field_of(w, 0), 0, "refused group leaked member 0");
-            assert_eq!(field_of(w, 2), 0, "refused group leaked member 2");
-        });
-        prober.join();
-        assert!(mech.unlock(1));
-        let members = [(0u32, conflict_mask(&[1])), (2u32, 0u128)];
-        assert!(mech.try_admit_group(&members), "uncontended group refused");
-        assert_eq!(field_of(mech.word(), 0), 1);
-        assert_eq!(field_of(mech.word(), 2), 1);
-        assert!(mech.unlock(2));
-        assert!(mech.unlock(0));
-        assert_eq!(mech.word(), 0);
-    })
-}
-
-/// Two partition words, two threads, cross-conflicting groups: each
-/// thread batch-probes (its mode on word A, its mode on word B) through
-/// [`group_probe`] and, when admitted, runs a critical section spanning
-/// both partitions. No schedule may admit both groups at once, and a
-/// refused probe's rollback must leave both words balanced.
-fn packed_group_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
-    Checker::new().preemption_bound(3).check(move || {
-        let a = PackedMech::new(profile, PROBES);
-        let b = PackedMech::new(profile, PROBES);
-        let in_cs = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = [(0u32, 1u32), (1u32, 0u32)]
-            .into_iter()
-            .map(|(local, other)| {
-                let (a, b, in_cs) = (a.clone(), b.clone(), in_cs.clone());
-                thread::spawn(move || {
-                    let members = [
-                        (a, local, conflict_mask(&[other])),
-                        (b, local, conflict_mask(&[other])),
-                    ];
-                    if group_probe(&members, GroupRollback::Correct) {
-                        assert_eq!(
-                            in_cs.fetch_add(1, Ordering::Relaxed),
-                            0,
-                            "conflicting groups admitted concurrently"
-                        );
-                        in_cs.fetch_sub(1, Ordering::Relaxed);
-                        for (m, l, _) in members.iter().rev() {
-                            assert!(m.unlock(*l));
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join();
-        }
-        assert_eq!(a.word(), 0, "partition A unbalanced after group probes");
-        assert_eq!(b.word(), 0, "partition B unbalanced after group probes");
-    })
-}
-
-/// The rollback window of a refused batched probe, three threads: main
-/// holds partition B's mode 1 for the prober's whole lifetime, so the
-/// probe (A.0, then B.0 conflicting with B.1) always fast-passes A.0 and
-/// is refused on B — forcing the rollback path. Meanwhile a victim
-/// thread holds B.0 outright (declaring no conflicts of its own — the
-/// mech layer takes caller-supplied masks, so the asymmetry is legal and
-/// keeps the state space small) and blocks on A.1, which conflicts with
-/// the probe's transient A.0 hold:
-///
-/// * [`GroupRollback::Correct`] releases A.0 through the full unlock, so
-///   a victim parked behind it is handed the partition — every schedule
-///   terminates with balanced words.
-/// * [`GroupRollback::SkipHandoff`] leaves the victim parked forever on
-///   schedules where it parked inside the probe's hold window: a lost
-///   wakeup the checker reports as a deadlock.
-/// * [`GroupRollback::IncludeFailed`] also decrements the refused member
-///   B.0, stealing the victim's hold; the victim's own release then
-///   underflows and its assertion fires.
-fn packed_group_rollback_scenario(
-    profile: OrderingProfile,
-    rollback: GroupRollback,
-) -> Result<Stats, Box<Violation>> {
-    Checker::new()
-        .preemption_bound(three_thread_bound())
-        .check(move || {
-            let a = PackedMech::new(profile, PROBES);
-            let b = PackedMech::new(profile, PROBES);
-            b.lock(1, 0);
-            let (av, bv) = (a.clone(), b.clone());
-            let victim = thread::spawn(move || {
-                bv.lock(0, 0);
-                av.lock(1, conflict_mask(&[0]));
-                assert!(av.unlock(1));
-                assert!(
-                    bv.unlock(0),
-                    "rollback of a refused member stole the victim's hold"
-                );
-            });
-            let (ap, bp) = (a.clone(), b.clone());
-            let prober = thread::spawn(move || {
-                let members = [
-                    (ap, 0u32, conflict_mask(&[1])),
-                    (bp, 0u32, conflict_mask(&[1])),
-                ];
-                assert!(
-                    !group_probe(&members, rollback),
-                    "group admitted against main's held conflict"
-                );
-            });
-            prober.join();
-            victim.join();
-            assert!(b.unlock(1));
-            assert_eq!(a.word(), 0, "partition A unbalanced after rollback");
-            assert_eq!(b.word(), 0, "partition B unbalanced after rollback");
-        })
-}
-
-#[test]
-fn group_word_admission_is_all_or_nothing() {
-    packed_group_word_all_or_nothing_scenario(OrderingProfile::default())
-        .expect("a refused one-word group must leave the word untouched");
-}
-
-#[test]
-fn group_probe_is_exclusive_and_balanced() {
-    let stats = packed_group_exclusivity_scenario(OrderingProfile::default())
-        .expect("shipped batched probe must pass group exclusivity");
-    assert!(
-        stats.schedules > 50,
-        "exploration suspiciously small: {stats:?}"
-    );
-}
-
-#[test]
-fn group_rollback_hands_off_and_balances() {
-    packed_group_rollback_scenario(OrderingProfile::default(), GroupRollback::Correct)
-        .expect("shipped group rollback must hand off and balance every schedule");
-}
-
-#[test]
-fn group_rollback_skip_handoff_is_refuted() {
-    let v = packed_group_rollback_scenario(OrderingProfile::default(), GroupRollback::SkipHandoff)
-        .expect_err("a rollback that skips the waiter handoff must lose a wakeup");
-    assert!(
-        is_counterexample(&v),
-        "expected a deadlock or assertion counterexample, got {v:?}"
-    );
-}
-
-#[test]
-fn group_rollback_include_failed_is_refuted() {
-    let v =
-        packed_group_rollback_scenario(OrderingProfile::default(), GroupRollback::IncludeFailed)
-            .expect_err("a rollback that touches the refused member must steal a hold");
-    assert!(
-        is_counterexample(&v),
-        "expected a stolen-hold assertion counterexample, got {v:?}"
-    );
 }
 
 #[test]

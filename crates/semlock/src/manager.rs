@@ -413,98 +413,6 @@ impl SemLock {
         })
     }
 
-    /// All-or-nothing batched admission of several modes on this
-    /// instance. Never blocks. On `Ok(())` every mode is held; on any
-    /// error **no mode remains held** (already-admitted partitions are
-    /// rolled back in reverse order).
-    ///
-    /// Modes are grouped by partition and each partition admits through
-    /// [`Mech::try_lock_group`] — one CAS per distinct partition word on
-    /// the packed/Dwcas layouts. A conflict reports
-    /// [`LockError::Timeout`] with a zero wait (as [`SemLock::try_lock_checked`]);
-    /// the caller escalates to the blocking per-mode protocol.
-    ///
-    /// Mutually conflicting modes in one group are refused (a group may
-    /// not exclude itself) — the OS2PL discipline never requests one, as
-    /// a transaction locks each instance at most once.
-    pub fn try_lock_group_checked(&self, modes: &[ModeId]) -> Result<(), LockError> {
-        match modes {
-            [] => return Ok(()),
-            [m] => return self.try_lock_checked(*m),
-            _ => {}
-        }
-        let outcome = self.admit_group(modes);
-        if telemetry::enabled() {
-            // One terminal per admitted member; a refusal is one terminal
-            // on the mode the error names (the combined admission does not
-            // say which member was refused).
-            let (reported, kind) = match &outcome {
-                Ok(()) => (modes, EventKind::Admit),
-                Err(LockError::Poisoned { .. }) => (&modes[..1], EventKind::PoisonRejected),
-                Err(_) => (&modes[..1], EventKind::Timeout),
-            };
-            for m in reported {
-                telemetry::report(self.id, m.0, None, kind);
-            }
-        }
-        outcome
-    }
-
-    /// The admission of [`SemLock::try_lock_group_checked`].
-    fn admit_group(&self, modes: &[ModeId]) -> Result<(), LockError> {
-        if self.is_poisoned() {
-            return Err(LockError::Poisoned { instance: self.id });
-        }
-        let placements: Vec<&ModePlacement> = modes
-            .iter()
-            .map(|&m| self.table.placement(m))
-            .filter(|p| !p.free)
-            .collect();
-        // Group members by partition, ascending — the canonical word
-        // order the rollback walks in reverse.
-        let mut parts: Vec<u32> = placements.iter().map(|p| p.part).collect();
-        parts.sort_unstable();
-        parts.dedup();
-        let mut admitted: Vec<u32> = Vec::with_capacity(parts.len());
-        for &part in &parts {
-            let members: Vec<crate::mech::GroupRequest<'_>> = placements
-                .iter()
-                .filter(|p| p.part == part)
-                .map(|p| crate::mech::GroupRequest {
-                    local: p.local,
-                    cs: p.conflicts(),
-                })
-                .collect();
-            if !self.mechs[part as usize].try_lock_group(&members) {
-                self.rollback_group(&placements, &admitted);
-                return Err(LockError::Timeout {
-                    instance: self.id,
-                    mode: *modes.first().unwrap(),
-                    waited: std::time::Duration::ZERO,
-                });
-            }
-            admitted.push(part);
-        }
-        // Re-check after admission, as every acquisition path does.
-        if self.is_poisoned() {
-            self.rollback_group(&placements, &admitted);
-            return Err(LockError::Poisoned { instance: self.id });
-        }
-        Ok(())
-    }
-
-    /// Release every member of the partitions in `admitted` (reverse
-    /// canonical order) — the rollback half of
-    /// [`SemLock::try_lock_group_checked`].
-    fn rollback_group(&self, placements: &[&ModePlacement], admitted: &[u32]) {
-        for &part in admitted.iter().rev() {
-            for p in placements.iter().rev().filter(|p| p.part == part) {
-                let released = self.mechs[part as usize].unlock(p.local);
-                debug_assert!(released, "group rollback released an unheld mode");
-            }
-        }
-    }
-
     /// Bounded acquisition with deadlock detection: wait for admission
     /// until `deadline`, probing the deadlock watchdog while blocked.
     ///

@@ -124,8 +124,8 @@ pub use audit::{ordering_name, OrderingAuditEntry, ORDERING_AUDIT};
 pub use park::OPTIMISTIC_PROBES;
 pub use stats::MechStats;
 pub use word::{
-    conflict_mask, field_of, field_shift, waiters_bit, ConflictSet, GroupRequest, WordInt,
-    DWCAS_MODE_LIMIT, FIELD_BITS, FIELD_MAX, PACKED_MODE_LIMIT,
+    conflict_mask, field_of, field_shift, waiters_bit, ConflictSet, WordInt, DWCAS_MODE_LIMIT,
+    FIELD_BITS, FIELD_MAX, PACKED_MODE_LIMIT,
 };
 
 use crate::stack::WaiterStack;
@@ -424,73 +424,6 @@ impl Mech {
             self.stats.acquisitions.fetch_add(1, Ordering::Relaxed);
         }
         taken
-    }
-
-    /// All-or-nothing batched admission of several modes of this
-    /// partition. Never blocks. Returns whether the whole group was
-    /// admitted; on `false` **no member remains admitted**.
-    ///
-    /// On the packed and Dwcas layouts a group whose members do not
-    /// mutually conflict is admitted (or refused) by **one CAS** over the
-    /// union of the members' conflict masks — a failed group costs one
-    /// failed CAS and leaves nothing to roll back, exactly like
-    /// [`Mech::try_lock`]'s side-effect-free failure. Mutually
-    /// conflicting members and the wide layout take a sequential
-    /// try-with-rollback loop instead: members admit in order, and the
-    /// first refusal rolls the already-admitted prefix back in reverse
-    /// order through the full release path (so a rollback decrement that
-    /// observes the waiter-summary bit still runs the claim-based
-    /// handoff — no lost wakeups).
-    ///
-    /// Statistics: `members.len()` acquisitions on success, nothing on
-    /// failure (a rolled-back partial admission is not an acquisition).
-    pub fn try_lock_group(&self, members: &[GroupRequest<'_>]) -> bool {
-        // The combined-CAS fast path checks the union mask against the
-        // pre-admission word, so it is only sound when no member's mode
-        // appears in another member's conflict set (a group may not
-        // exclude itself). Mutually conflicting members fall back to the
-        // sequential loop, whose per-member checks see the group's own
-        // earlier increments and refuse correctly.
-        let mutual = || {
-            members.iter().enumerate().any(|(i, a)| {
-                members
-                    .iter()
-                    .enumerate()
-                    .any(|(j, b)| i != j && a.cs.locals().contains(&b.local))
-            })
-        };
-        let taken = match (members, &self.counts) {
-            ([], _) => true,
-            ([m], _) => self.try_admit(m.local, m.cs),
-            (_, Counts::Packed(word)) if !mutual() => word.try_admit_many(members),
-            (_, Counts::Dwcas(word)) if !mutual() => word.try_admit_many(members),
-            _ => self.try_lock_group_seq(members),
-        };
-        if taken {
-            self.stats
-                .acquisitions
-                .fetch_add(members.len() as u64, Ordering::Relaxed);
-        }
-        taken
-    }
-
-    /// Sequential group admission with reverse-order rollback: the loop
-    /// fallback behind [`Mech::try_lock_group`] (wide layout, or mutually
-    /// conflicting members on any layout).
-    fn try_lock_group_seq(&self, members: &[GroupRequest<'_>]) -> bool {
-        for (i, m) in members.iter().enumerate() {
-            if !self.try_admit(m.local, m.cs) {
-                for m2 in members[..i].iter().rev() {
-                    // Cannot underflow (this group holds the count), and
-                    // must run the full release path so a decrement that
-                    // carried the waiter-summary bit performs the handoff.
-                    let released = self.unlock(m2.local);
-                    debug_assert!(released, "group rollback released an unheld mode");
-                }
-                return false;
-            }
-        }
-        true
     }
 
     /// Bounded acquisition: like [`Mech::lock`], but gives up once

@@ -683,156 +683,3 @@ fn field_math_holds_at_both_widths() {
     assert_eq!(m >> 64, 0);
     assert_eq!(u64::truncate(m) as u128, m);
 }
-
-#[test]
-fn group_admission_is_all_or_nothing() {
-    for layout in layouts() {
-        let m = Mech::with_backend(3, WaitStrategy::Block, layout);
-        let (c0, c1) = cross_conflict();
-        // Empty and singleton groups degenerate correctly.
-        assert!(m.try_lock_group(&[]), "{layout:?}");
-        assert!(
-            m.try_lock_group(&[GroupRequest {
-                local: 2,
-                cs: ConflictSet::new(&[2]),
-            }]),
-            "{layout:?}"
-        );
-        assert!(m.unlock(2));
-        // Non-conflicting pair admits in one shot.
-        assert!(
-            m.try_lock_group(&[
-                GroupRequest {
-                    local: 0,
-                    cs: ConflictSet::new(&c0),
-                },
-                GroupRequest {
-                    local: 2,
-                    cs: ConflictSet::new(&[2]),
-                },
-            ]),
-            "{layout:?}"
-        );
-        assert_eq!(m.count(0), 1, "{layout:?}");
-        assert_eq!(m.count(2), 1, "{layout:?}");
-        // A group refused by a standing conflict admits nothing.
-        assert!(
-            !m.try_lock_group(&[
-                GroupRequest {
-                    local: 2,
-                    cs: ConflictSet::new(&[2]), // blocked: 2 is held
-                },
-                GroupRequest {
-                    local: 1,
-                    cs: ConflictSet::new(&c1),
-                },
-            ]),
-            "{layout:?}"
-        );
-        assert_eq!(m.count(1), 0, "{layout:?}: leaked partial admission");
-        assert_eq!(m.count(2), 1, "{layout:?}");
-        assert!(m.unlock(0));
-        assert!(m.unlock(2));
-        assert_eq!(m.held_total(), 0, "{layout:?}");
-    }
-}
-
-#[test]
-fn group_with_mutual_conflict_refuses_cleanly() {
-    // Modes 0 and 1 exclude each other: a group containing both can
-    // never be admitted together, on any layout (the combined-CAS
-    // path must not union-mask its way past the mutual exclusion).
-    for layout in layouts() {
-        let m = Mech::with_backend(2, WaitStrategy::Block, layout);
-        let (c0, c1) = cross_conflict();
-        assert!(
-            !m.try_lock_group(&[
-                GroupRequest {
-                    local: 0,
-                    cs: ConflictSet::new(&c0),
-                },
-                GroupRequest {
-                    local: 1,
-                    cs: ConflictSet::new(&c1),
-                },
-            ]),
-            "{layout:?}: mutually conflicting group admitted"
-        );
-        assert_eq!(m.held_total(), 0, "{layout:?}");
-    }
-}
-
-#[test]
-fn group_respects_saturation() {
-    for layout in [AdmissionBackend::Packed, AdmissionBackend::Dwcas] {
-        let m = Mech::with_backend(1, WaitStrategy::Block, layout);
-        for _ in 0..FIELD_MAX - 1 {
-            m.lock(0, ConflictSet::new(&[]));
-        }
-        // One slot of headroom left: a two-member group on the same
-        // mode would overflow the 7-bit field and must be refused.
-        let req = || GroupRequest {
-            local: 0,
-            cs: ConflictSet::new(&[]),
-        };
-        assert!(!m.try_lock_group(&[req(), req()]), "{layout:?}");
-        assert!(m.try_lock_group(&[req()]), "{layout:?}");
-        assert_eq!(u64::from(m.count(0)), FIELD_MAX, "{layout:?}");
-        for _ in 0..FIELD_MAX {
-            assert!(m.unlock(0));
-        }
-    }
-}
-
-#[test]
-fn concurrent_groups_never_interleave_partially() {
-    // Two threads race disjoint-but-conflicting groups: T0 wants
-    // {0, 1}, T1 wants {2, 3}, where 1 and 2 exclude each other. Any
-    // moment must show either a whole group admitted or none of it.
-    for layout in layouts() {
-        let m = Arc::new(Mech::with_backend(4, WaitStrategy::Block, layout));
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for (a, b, other) in [(0u32, 1u32, 2u32), (2, 3, 1)] {
-            let m = m.clone();
-            let stop = stop.clone();
-            let active = active.clone();
-            handles.push(std::thread::spawn(move || {
-                let ca = [a]; // self-conflicting anchor mode
-                let cb = [other];
-                let mut admitted = 0u32;
-                while !stop.load(Ordering::Relaxed) {
-                    let ok = m.try_lock_group(&[
-                        GroupRequest {
-                            local: a,
-                            cs: ConflictSet::new(&ca),
-                        },
-                        GroupRequest {
-                            local: b,
-                            cs: ConflictSet::new(&cb),
-                        },
-                    ]);
-                    if ok {
-                        admitted += 1;
-                        // Full admissions of the two groups exclude
-                        // each other (b vs the peer's b): at most one
-                        // whole group may be in its section at once.
-                        let prev = active.fetch_add(1, Ordering::SeqCst);
-                        assert_eq!(prev, 0, "{layout:?}: both groups admitted");
-                        assert_eq!(m.count(a), 1, "{layout:?}");
-                        active.fetch_sub(1, Ordering::SeqCst);
-                        assert!(m.unlock(b));
-                        assert!(m.unlock(a));
-                    }
-                }
-                admitted
-            }));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        stop.store(true, Ordering::Relaxed);
-        let total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total > 0, "{layout:?}: no group ever admitted");
-        assert_eq!(m.held_total(), 0, "{layout:?}");
-    }
-}

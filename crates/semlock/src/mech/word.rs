@@ -155,18 +155,6 @@ impl<'a> ConflictSet<'a> {
     }
 }
 
-/// One member of a batched group admission: a local mode index plus its
-/// precomputed conflict set. A group is admitted **all-or-nothing**: every
-/// member's conflict check passes and every count increments, or no count
-/// changes at all (see [`super::Mech::try_lock_group`]).
-#[derive(Clone, Copy, Debug)]
-pub struct GroupRequest<'a> {
-    /// Local mode index within the partition.
-    pub local: u32,
-    /// The mode's conflict set (as for [`super::Mech::lock`]).
-    pub cs: ConflictSet<'a>,
-}
-
 /// A lock-free admission word: four atomic primitives over a
 /// [`WordInt`], and — as provided methods — the admission protocol
 /// written once on top of them. Private: `AtomicU64` (packed) and
@@ -221,53 +209,6 @@ pub(super) trait AdmitWord {
             match self.compare_exchange_weak(
                 cur,
                 cur + one,
-                ord::WORD_ADMIT_CAS_OK,
-                ord::WORD_ADMIT_CAS_FAIL,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// One combined lock-free admission attempt for several modes of this
-    /// partition: check the **union** of the members' conflict masks and
-    /// apply every increment in a single try-update — one CAS admits (or
-    /// refuses) the whole group, so a failed group leaves the word
-    /// untouched with nothing to roll back.
-    ///
-    /// Precondition (checked by the caller, [`super::Mech::try_lock_group`]):
-    /// no member's mode appears in another member's conflict set —
-    /// mutually conflicting members must take the sequential fallback,
-    /// because the union-mask check runs against the pre-admission word
-    /// and would otherwise admit two modes that exclude each other.
-    fn try_admit_many(&self, members: &[GroupRequest<'_>]) -> bool {
-        let mut mask = Self::Int::ZERO;
-        let mut add = Self::Int::ZERO;
-        for m in members {
-            mask = mask | Self::Int::truncate(m.cs.mask);
-            add = add + (Self::Int::ONE << field_shift(m.local));
-        }
-        // Ordering: as `try_admit` — the CAS re-validates the whole word.
-        let mut cur = self.load(ord::WORD_ADMIT_LOAD);
-        loop {
-            if cur & mask != Self::Int::ZERO {
-                return false;
-            }
-            // Saturation: each member's field must hold its requested
-            // increments (duplicate locals are legal and sum).
-            for m in members {
-                let want = members.iter().filter(|x| x.local == m.local).count() as u64;
-                if field_of(cur, m.local) + want > FIELD_MAX {
-                    return false;
-                }
-            }
-            // Ordering: the same Acquire/Relaxed pair as the single-mode
-            // admit CAS — one successful CAS publishes every member's
-            // admission at once. (Audited: `word.admit.cas_ok`.)
-            match self.compare_exchange_weak(
-                cur,
-                cur + add,
                 ord::WORD_ADMIT_CAS_OK,
                 ord::WORD_ADMIT_CAS_FAIL,
             ) {

@@ -212,68 +212,6 @@ impl<'a> Txn<'a> {
         }
     }
 
-    /// Batched group acquisition: lock every entry, attempting a
-    /// non-blocking **fast pass** first — one admission CAS per member,
-    /// probed in canonical ascending unique-id order (Fig. 12). If every
-    /// probe admits, the whole group is held after one pass over the
-    /// partition words with no parking and no watchdog traffic.
-    ///
-    /// If *any* probe refuses (conflict or poison), the fast pass is
-    /// rolled back in reverse order — releases go through the full
-    /// unlock path so waiter handoff runs — and the acquisition
-    /// **escalates to the sequential protocol** ([`Txn::acquire`] per
-    /// entry, in the caller's original order). The escalation path is
-    /// byte-identical to the unoptimized acquisition sequence, so error
-    /// identity, partial-hold behavior on failure, and deadlock-freedom
-    /// (each blocking wait holds only what the sequential protocol would
-    /// hold) are exactly those of issuing the entries one by one.
-    ///
-    /// Entries on instances this transaction already holds are skipped
-    /// (the `LV` rule), as are repeated instances within the group
-    /// (first spec wins) — OS2PL locks each instance at most once.
-    pub fn acquire_group(
-        &mut self,
-        entries: &[(&'a SemLock, AcquireSpec)],
-    ) -> Result<(), LockError> {
-        let mut todo: Vec<&(&'a SemLock, AcquireSpec)> = Vec::with_capacity(entries.len());
-        for e in entries {
-            if self.holds(e.0) || todo.iter().any(|p| p.0.unique() == e.0.unique()) {
-                continue;
-            }
-            todo.push(e);
-        }
-        match todo.as_slice() {
-            [] => return Ok(()),
-            [e] => return self.acquire(e.0, &e.1),
-            _ => {}
-        }
-        let mut fast = todo.clone();
-        fast.sort_by_key(|e| e.0.unique());
-        let mut admitted: Vec<(&'a SemLock, ModeId, u32)> = Vec::with_capacity(fast.len());
-        let mut refused = false;
-        for e in &fast {
-            let site = self.tele_enter();
-            if e.0.try_lock_checked(e.1.mode).is_ok() {
-                admitted.push((e.0, e.1.mode, site));
-            } else {
-                refused = true;
-                break;
-            }
-        }
-        if !refused {
-            self.held.extend(admitted);
-            return Ok(());
-        }
-        for (l, m, site) in admitted.into_iter().rev() {
-            self.tele_release(site);
-            l.unlock(m);
-        }
-        for e in todo {
-            self.acquire(e.0, &e.1)?;
-        }
-        Ok(())
-    }
-
     /// Does this transaction currently hold a lock on `adt`?
     pub fn holds(&self, adt: &SemLock) -> bool {
         self.held.iter().any(|(l, _, _)| l.unique() == adt.unique())
@@ -630,108 +568,6 @@ mod tests {
         assert!(r.is_err());
         assert!(!lock.is_poisoned());
         assert_eq!(lock.total_holds(), 0);
-    }
-
-    #[test]
-    fn acquire_group_fast_pass_locks_everything() {
-        let (t, site) = table();
-        let locks: Vec<_> = (0..4).map(|_| SemLock::new(t.clone())).collect();
-        let m = t.select(site, &[Value(2)]);
-        let mut txn = Txn::new();
-        txn.acquire_group(&[
-            (&locks[2], AcquireSpec::new(m)),
-            (&locks[0], AcquireSpec::new(m)),
-            (&locks[3], AcquireSpec::new(m)),
-            (&locks[1], AcquireSpec::new(m)),
-        ])
-        .unwrap();
-        assert_eq!(txn.held_count(), 4);
-        for l in &locks {
-            assert!(txn.holds(l));
-            assert_eq!(l.hold_count(m), 1);
-        }
-        txn.unlock_all();
-        for l in &locks {
-            assert_eq!(l.hold_count(m), 0);
-        }
-    }
-
-    #[test]
-    fn acquire_group_dedups_and_skips_held() {
-        let (t, site) = table();
-        let a = SemLock::new(t.clone());
-        let b = SemLock::new(t.clone());
-        let m = t.select(site, &[Value(1)]);
-        let mut txn = Txn::new();
-        txn.lv(&a, m);
-        txn.acquire_group(&[
-            (&a, AcquireSpec::new(m)), // already held: LV skip
-            (&b, AcquireSpec::new(m)),
-            (&b, AcquireSpec::new(m)), // duplicate instance: first wins
-        ])
-        .unwrap();
-        assert_eq!(txn.held_count(), 2);
-        assert_eq!(a.hold_count(m), 1, "group must not re-lock a held instance");
-        assert_eq!(b.hold_count(m), 1, "duplicates must collapse to one hold");
-    }
-
-    #[test]
-    fn acquire_group_escalation_matches_sequential_protocol() {
-        let (t, site) = table();
-        let a = SemLock::new(t.clone());
-        let b = SemLock::new(t.clone());
-        let m = t.select(site, &[Value(3)]); // self-conflicting mode
-        let mut holder = Txn::new();
-        holder.lv(&b, m);
-        // Fast pass refuses at `b`; the DontWait escalation then acquires
-        // `a`, fails at `b`, and leaves exactly what the sequential
-        // protocol would leave: `a` held, `b` not.
-        let mut txn = Txn::new();
-        let err = txn
-            .acquire_group(&[
-                (&a, AcquireSpec::new(m).no_wait()),
-                (&b, AcquireSpec::new(m).no_wait()),
-            ])
-            .unwrap_err();
-        assert!(matches!(err, LockError::Timeout { waited, .. } if waited == Duration::ZERO));
-        assert!(txn.holds(&a) && !txn.holds(&b));
-        assert_eq!(a.hold_count(m), 1);
-        assert_eq!(b.hold_count(m), 1, "only the holder's lock remains on b");
-        // Once the conflict clears, the same group succeeds via the fast
-        // pass (a is skipped as held).
-        holder.unlock_all();
-        txn.acquire_group(&[
-            (&a, AcquireSpec::new(m).no_wait()),
-            (&b, AcquireSpec::new(m).no_wait()),
-        ])
-        .unwrap();
-        assert!(txn.holds(&a) && txn.holds(&b));
-    }
-
-    #[test]
-    fn acquire_group_rollback_leaves_no_partial_admission() {
-        let (t, site) = table();
-        let a = SemLock::new(t.clone());
-        let b = SemLock::new(t.clone());
-        let m = t.select(site, &[Value(3)]); // self-conflicting mode
-        let mut holder = Txn::new();
-        holder.lv(&b, m);
-        let mut txn = Txn::new();
-        // Poisoned escalation: poison `a` after the holder blocks `b`, so
-        // both the fast pass and the escalation fail on the first entry —
-        // nothing may remain held by `txn`.
-        a.poison();
-        let err = txn
-            .acquire_group(&[
-                (&a, AcquireSpec::new(m).no_wait()),
-                (&b, AcquireSpec::new(m).no_wait()),
-            ])
-            .unwrap_err();
-        assert!(err.is_poisoned());
-        assert_eq!(txn.held_count(), 0);
-        assert_eq!(a.total_holds(), 0, "no leaked partial admission on a");
-        assert_eq!(b.hold_count(m), 1, "holder's lock undisturbed");
-        a.clear_poison();
     }
 
     #[test]

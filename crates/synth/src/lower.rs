@@ -157,18 +157,6 @@ pub enum LowOp {
     },
     /// Epilogue `foreach (t : LOCAL_SET) t.unlockAll()`.
     UnlockAll,
-    /// Batched group admission over `group_pool[start..+len]` entries
-    /// (emitted by `tape_opt`, never by the lowerer): the members are
-    /// sorted by dynamic unique id and admitted through the transaction's
-    /// group fast path — one admission CAS per member, rollback and
-    /// sequential escalation on refusal. Semantically identical to
-    /// executing the member [`LowOp::Lock`] ops in order.
-    AcquireBatch {
-        /// Start of the entry range in [`Tape::group_pool`].
-        start: u32,
-        /// Number of entries.
-        len: u16,
-    },
 }
 
 /// A lock site with everything the admission path needs pre-resolved.
@@ -583,7 +571,7 @@ pub fn validate(tape: &Tape) -> Result<(), String> {
                     return bad("lock slot/site out of range");
                 }
             }
-            LowOp::LockGroup { start, len } | LowOp::AcquireBatch { start, len } => {
+            LowOp::LockGroup { start, len } => {
                 let end = start as usize + len as usize;
                 if end > tape.group_pool.len()
                     || tape.group_pool[start as usize..end]

@@ -108,34 +108,24 @@ fn slot_name(tape: &Tape, slot: u16) -> String {
         .unwrap_or_else(|| format!("slot{slot}"))
 }
 
-/// The lock events of one tape op (empty for non-lock ops). An
-/// `AcquireBatch` contributes one acquire event per member in pool order
-/// — the batch holds exactly what the member `Lock` ops it replaced
-/// would hold, so it is compared member-by-member.
-fn tape_events(tape: &Tape, op: &LowOp) -> Vec<String> {
+/// The lock event of one tape op, if any.
+fn tape_event(tape: &Tape, op: &LowOp) -> Option<String> {
     match *op {
-        LowOp::Lock { recv, site } => vec![acquire_event(
+        LowOp::Lock { recv, site } => Some(acquire_event(
             &slot_name(tape, recv),
             tape.sites[site as usize].stable_id,
-        )],
+        )),
         LowOp::LockGroup { start, len } => {
             let es: Vec<(String, u32)> = tape.group_pool
                 [start as usize..start as usize + len as usize]
                 .iter()
                 .map(|&(recv, site)| (slot_name(tape, recv), tape.sites[site as usize].stable_id))
                 .collect();
-            vec![group_event(&es)]
+            Some(group_event(&es))
         }
-        LowOp::AcquireBatch { start, len } => tape.group_pool
-            [start as usize..start as usize + len as usize]
-            .iter()
-            .map(|&(recv, site)| {
-                acquire_event(&slot_name(tape, recv), tape.sites[site as usize].stable_id)
-            })
-            .collect(),
-        LowOp::UnlockAllOf { recv } => vec![release_event(&slot_name(tape, recv))],
-        LowOp::UnlockAll => vec![RELEASE_ALL_EVENT.to_string()],
-        _ => Vec::new(),
+        LowOp::UnlockAllOf { recv } => Some(release_event(&slot_name(tape, recv))),
+        LowOp::UnlockAll => Some(RELEASE_ALL_EVENT.to_string()),
+        _ => None,
     }
 }
 
@@ -145,7 +135,7 @@ fn tape_events(tape: &Tape, op: &LowOp) -> Vec<String> {
 
 struct Explorer<'a> {
     succ: &'a dyn Fn(usize) -> Vec<usize>,
-    event: &'a dyn Fn(usize) -> Vec<String>,
+    event: &'a dyn Fn(usize) -> Option<String>,
     exit: usize,
     visits: Vec<u8>,
     events: Vec<String>,
@@ -172,12 +162,12 @@ impl Explorer<'_> {
             return;
         }
         self.visits[node] += 1;
-        let evs = (self.event)(node);
-        self.events.extend(evs.iter().cloned());
+        let depth = self.events.len();
+        self.events.extend((self.event)(node));
         for next in (self.succ)(node) {
             self.dfs(next);
         }
-        self.events.truncate(self.events.len() - evs.len());
+        self.events.truncate(depth);
         self.visits[node] -= 1;
     }
 }
@@ -189,7 +179,7 @@ fn language(
     start: usize,
     exit: usize,
     succ: &dyn Fn(usize) -> Vec<usize>,
-    event: &dyn Fn(usize) -> Vec<String>,
+    event: &dyn Fn(usize) -> Option<String>,
 ) -> Option<BTreeSet<Vec<String>>> {
     let mut ex = Explorer {
         succ,
@@ -235,104 +225,9 @@ fn render_path(p: &[String]) -> String {
     }
 }
 
-// ---------------------------------------------------------------------
-// SL006 relaxed comparison for optimized tapes.
-// ---------------------------------------------------------------------
-
-/// Normalize one event path to what the runtime actually does with it:
-/// an acquire on an instance already in `LOCAL_SET` is skipped (both
-/// engines dedup held receivers before admission), so repeated acquires
-/// of a held receiver are dropped. Releases clear the receiver (or, for
-/// the epilogue, everything). This is the *documented invariant* the
-/// optimizer preserves — fusion deletes exactly the acquires this
-/// normalization deletes.
-fn normalize_path(path: &[String]) -> Vec<String> {
-    let mut held: BTreeSet<String> = BTreeSet::new();
-    let mut out = Vec::new();
-    for e in path {
-        if let Some(rest) = e.strip_prefix("acquire ") {
-            let recv = rest.split('#').next().unwrap_or(rest).to_string();
-            if held.insert(recv) {
-                out.push(e.clone());
-            }
-        } else if let Some(inner) = e.strip_prefix("group [").and_then(|s| s.strip_suffix(']')) {
-            for m in inner.split(',') {
-                if let Some(r) = m.split('#').next() {
-                    held.insert(r.to_string());
-                }
-            }
-            out.push(e.clone());
-        } else if let Some(recv) = e.strip_prefix("release ") {
-            held.remove(recv);
-            out.push(e.clone());
-        } else {
-            // Epilogue release-all.
-            held.clear();
-            out.push(e.clone());
-        }
-    }
-    out
-}
-
-fn normalize_lang(lang: &BTreeSet<Vec<String>>) -> BTreeSet<Vec<String>> {
-    lang.iter().map(|p| normalize_path(p)).collect()
-}
-
-/// Does optimized path `p` refine original path `o`: `o` is a
-/// subsequence of `p`, and every extra element of `p` is an acquire
-/// event the original language performs somewhere (`known`). Extra
-/// early acquisitions are the conservative over-approximation of the
-/// paper's eager `LV` insertion — a hoisted lock may be taken on a
-/// zero-trip path where the original took nothing — and are sound:
-/// locks are only ever added, never removed or reordered past releases.
-fn path_refines(o: &[String], p: &[String], known: &BTreeSet<String>) -> bool {
-    let mut i = 0;
-    for e in p {
-        if i < o.len() && *e == o[i] {
-            i += 1;
-        } else if !(e.starts_with("acquire ") && known.contains(e)) {
-            return false;
-        }
-    }
-    i == o.len()
-}
-
-/// Relaxed SL006 acceptance for optimized tapes: normalized languages
-/// equal, or mutual refinement — every optimized path refines some
-/// original path and every original path is refined by some optimized
-/// path (so no original behavior is lost and nothing beyond
-/// conservative early acquisition is added).
-fn lang_refines(ir: &BTreeSet<Vec<String>>, opt: &BTreeSet<Vec<String>>) -> bool {
-    if ir == opt {
-        return true;
-    }
-    let known: BTreeSet<String> = ir
-        .iter()
-        .flatten()
-        .filter(|e| e.starts_with("acquire "))
-        .cloned()
-        .collect();
-    opt.iter()
-        .all(|p| ir.iter().any(|o| path_refines(o, p, &known)))
-        && ir
-            .iter()
-            .all(|o| opt.iter().any(|p| path_refines(o, p, &known)))
-}
-
-/// How SL006 compares the tape language against the section CFG.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BisimMode {
-    /// Lowered, unoptimized tape: the languages must be identical.
-    Exact,
-    /// Optimized tape: normalized languages must be equal or in the
-    /// mutual acquisition-refinement relation (fusion and hoisting are
-    /// lock-event-equivalent under the runtime's held-skip semantics).
-    Relaxed,
-}
-
 /// SL006: compare the bounded lock-event path languages of the section
 /// CFG and the lowered tape.
-fn check_bisimulation(tape: &Tape, section: &AtomicSection, mode: BisimMode) -> Vec<Diagnostic> {
+fn check_bisimulation(tape: &Tape, section: &AtomicSection) -> Vec<Diagnostic> {
     let cfg = Cfg::build(section);
 
     // Event per CFG statement node, precomputed (section bodies are
@@ -347,18 +242,12 @@ fn check_bisimulation(tape: &Tape, section: &AtomicSection, mode: BisimMode) -> 
     let exit = cfg.exit() as usize;
     let ir_succ =
         |n: usize| -> Vec<usize> { cfg.succ(n as u32).iter().map(|&x| x as usize).collect() };
-    let ir_ev = |n: usize| -> Vec<String> {
-        stmt_events
-            .get(n)
-            .cloned()
-            .flatten()
-            .map_or_else(Vec::new, |e| vec![e])
-    };
+    let ir_ev = |n: usize| -> Option<String> { stmt_events.get(n).cloned().flatten() };
     let ir_lang = language(n_stmts + 2, entry, exit, &ir_succ, &ir_ev);
 
     let n_ops = tape.ops.len();
     let tp_succ = |pc: usize| tape_succ(tape, pc);
-    let tp_ev = |pc: usize| tape_events(tape, &tape.ops[pc]);
+    let tp_ev = |pc: usize| tape_event(tape, &tape.ops[pc]);
     let tape_lang = language(n_ops + 1, 0, n_ops, &tp_succ, &tp_ev);
 
     let (ir_lang, tape_lang) = match (ir_lang, tape_lang) {
@@ -373,36 +262,17 @@ fn check_bisimulation(tape: &Tape, section: &AtomicSection, mode: BisimMode) -> 
         }
     };
 
-    let (ir_cmp, tape_cmp) = match mode {
-        BisimMode::Exact => {
-            if ir_lang == tape_lang {
-                return Vec::new();
-            }
-            (ir_lang, tape_lang)
-        }
-        BisimMode::Relaxed => {
-            let ir_n = normalize_lang(&ir_lang);
-            let tape_n = normalize_lang(&tape_lang);
-            if lang_refines(&ir_n, &tape_n) {
-                return Vec::new();
-            }
-            (ir_n, tape_n)
-        }
-    };
-    let what = match mode {
-        BisimMode::Exact => "lowered tape lock events diverge from the section CFG",
-        BisimMode::Relaxed => {
-            "optimized tape lock events are not an acquisition refinement of the section CFG"
-        }
-    };
-    let mut d = Diagnostic::error(what.to_string())
+    if ir_lang == tape_lang {
+        return Vec::new();
+    }
+    let mut d = Diagnostic::error("lowered tape lock events diverge from the section CFG")
         .with_lint(Lint::Sl006)
         .in_section(&section.name)
         .with_note(format!("required by {}", Lint::Sl006.paper_ref()));
-    if let Some(p) = ir_cmp.difference(&tape_cmp).next() {
+    if let Some(p) = ir_lang.difference(&tape_lang).next() {
         d = d.with_note(format!("CFG-only event path: {}", render_path(p)));
     }
-    if let Some(p) = tape_cmp.difference(&ir_cmp).next() {
+    if let Some(p) = tape_lang.difference(&ir_lang).next() {
         d = d.with_note(format!("tape-only event path: {}", render_path(p)));
     }
     vec![d]
@@ -444,17 +314,9 @@ fn check_two_phase(tape: &Tape) -> Vec<Diagnostic> {
     }
     let mut out = Vec::new();
     for (pc, op) in tape.ops.iter().enumerate() {
-        let is_acquire = matches!(
-            op,
-            LowOp::Lock { .. } | LowOp::LockGroup { .. } | LowOp::AcquireBatch { .. }
-        );
+        let is_acquire = matches!(op, LowOp::Lock { .. } | LowOp::LockGroup { .. });
         if is_acquire && in_state[pc] & AFTER_RELEASE != 0 {
-            let evs = tape_events(tape, op);
-            let what = if evs.is_empty() {
-                format!("{op:?}")
-            } else {
-                evs.join("; ")
-            };
+            let what = tape_event(tape, op).unwrap_or_else(|| format!("{op:?}"));
             out.push(
                 Diagnostic::error(format!(
                     "tape op {pc} ({what}) acquires after a release point (two-phase violation)"
@@ -677,29 +539,6 @@ pub fn audit_tape(
     tables: &ClassTables,
     registry: &ClassRegistry,
 ) -> Vec<Diagnostic> {
-    audit_tape_mode(tape, section, tables, registry, BisimMode::Exact)
-}
-
-/// Run all tape lints (SL006–SL008) over an optimized tape
-/// ([`crate::tape_opt::optimize`] output). SL006 compares under the
-/// relaxed acquisition-refinement relation: fusion and hoisting are
-/// accepted as lock-event-equivalent, anything else still fails.
-pub fn audit_optimized_tape(
-    tape: &Tape,
-    section: &AtomicSection,
-    tables: &ClassTables,
-    registry: &ClassRegistry,
-) -> Vec<Diagnostic> {
-    audit_tape_mode(tape, section, tables, registry, BisimMode::Relaxed)
-}
-
-fn audit_tape_mode(
-    tape: &Tape,
-    section: &AtomicSection,
-    tables: &ClassTables,
-    registry: &ClassRegistry,
-    mode: BisimMode,
-) -> Vec<Diagnostic> {
     if let Err(e) = crate::lower::validate(tape) {
         // Structural breakage voids the path analyses; report and stop.
         return vec![
@@ -708,25 +547,20 @@ fn audit_tape_mode(
                 .in_section(&section.name),
         ];
     }
-    let mut out = check_bisimulation(tape, section, mode);
+    let mut out = check_bisimulation(tape, section);
     out.extend(check_two_phase(tape));
     out.extend(check_tape_sites(tape, section, tables, registry));
     out
 }
 
-/// Lower every section of a synthesized program and run the tape lints —
-/// over the raw lowered tape (exact bisimulation) *and* over its
-/// optimized form (refinement bisimulation), so `semlockc check` audits
-/// exactly what the compiled engine will execute.
+/// Lower every section of a synthesized program and run the tape lints
+/// over the lowered tape — the one tape `interp::compile` executes.
 pub fn audit_tapes(out: &SynthOutput) -> Vec<Diagnostic> {
     out.sections
         .iter()
         .flat_map(|s| {
             let tape = lower_section(s, &out.tables);
-            let mut diags = audit_tape(&tape, s, &out.tables, &out.registry);
-            let (opt, _) = crate::tape_opt::optimize(&tape);
-            diags.extend(audit_optimized_tape(&opt, s, &out.tables, &out.registry));
-            diags
+            audit_tape(&tape, s, &out.tables, &out.registry)
         })
         .collect()
 }

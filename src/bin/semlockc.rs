@@ -15,7 +15,7 @@
 //! semlockc -                        # read from stdin
 //! semlockc check a.sl b.sl          # audit synthesized output
 //! semlockc check --json a.sl       # machine-readable findings
-//! semlockc check --dump-tape a.sl  # pre-/post-optimizer op tapes
+//! semlockc check --dump-tape a.sl  # the lowered op tape, per section
 //! ```
 //!
 //! Check-mode exit codes: 0 — audit clean (warnings allowed); 1 — lint
@@ -84,8 +84,8 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--check" => check = true,
-            "--json" if check => json = true,
-            "--dump-tape" if check => dump_tape = true,
+            "--json" => json = true,
+            "--dump-tape" => dump_tape = true,
             "--no-opt" => opts.no_opt = true,
             "--no-refine" => opts.no_refine = true,
             "--phi" => match args.next().and_then(|v| v.parse().ok()) {
@@ -96,6 +96,13 @@ fn main() -> ExitCode {
             other if !other.starts_with('-') || other == "-" => paths.push(other.to_string()),
             _ => return usage(),
         }
+    }
+    // Flags are collected before they are judged, so `--json --check` and
+    // `--check --json` mean the same thing.
+    if !check && (json || dump_tape) {
+        let flag = if json { "--json" } else { "--dump-tape" };
+        eprintln!("semlockc: {flag} only applies to check mode (`semlockc check {flag} ...`)");
+        return ExitCode::from(2);
     }
     if paths.is_empty() || (!check && paths.len() > 1) {
         return usage();
@@ -213,50 +220,21 @@ fn check_files(paths: &[String], opts: &Options, json: bool, dump_tape: bool) ->
     worst
 }
 
-/// `--dump-tape`: for every synthesized section, lower to the raw op
-/// tape, run the tape optimizer, and print the two tapes side by side
-/// with the per-pass transformation counts (acquisition fusion, batched
-/// group admission, loop-invariant hoisting) — the view to reach for
-/// when asking *why* an acquisition did or did not fuse, batch, or
-/// rotate out of a loop.
+/// `--dump-tape`: for every synthesized section, print the lowered op
+/// tape — the one tape the compiled engine runs and SL006–SL008 audit.
 fn dump_tapes(path: &str, out: &synth::SynthOutput, to_stderr: bool) {
     use std::fmt::Write as _;
     let mut buf = String::new();
     for section in &out.sections {
-        let pre = synth::lower::lower_section(section, &out.tables);
-        let (post, stats) = synth::tape_opt::optimize(&pre);
+        let tape = synth::lower::lower_section(section, &out.tables);
         let _ = writeln!(
             buf,
-            "{path}: section {}: {} ops -> {} ops \
-             (fused {}, batches {} [{} members], hoisted {})",
-            pre.section,
-            pre.ops.len(),
-            post.ops.len(),
-            stats.fused,
-            stats.batches,
-            stats.batch_members,
-            stats.hoisted
+            "{path}: section {}: {} ops",
+            tape.section,
+            tape.ops.len()
         );
-        let render = |t: &synth::lower::Tape| -> Vec<String> {
-            t.ops
-                .iter()
-                .enumerate()
-                .map(|(pc, op)| format!("{pc:3}: {}", render_op(t, op)))
-                .collect()
-        };
-        let left = render(&pre);
-        let right = render(&post);
-        let width = left
-            .iter()
-            .map(String::len)
-            .max()
-            .unwrap_or(0)
-            .max("pre-opt".len());
-        let _ = writeln!(buf, "  {:<width$} | post-opt", "pre-opt");
-        for i in 0..left.len().max(right.len()) {
-            let l = left.get(i).map(String::as_str).unwrap_or("");
-            let r = right.get(i).map(String::as_str).unwrap_or("");
-            let _ = writeln!(buf, "  {l:<width$} | {r}");
+        for (pc, op) in tape.ops.iter().enumerate() {
+            let _ = writeln!(buf, "  {pc:3}: {}", render_op(&tape, op));
         }
     }
     if to_stderr {
@@ -317,7 +295,6 @@ fn render_op(t: &synth::lower::Tape, op: &synth::lower::LowOp) -> String {
         LowOp::LockGroup { start, len } => format!("lock_group [{}]", group(*start, *len)),
         LowOp::UnlockAllOf { recv } => format!("unlock_all_of r{recv}"),
         LowOp::UnlockAll => "unlock_all".to_string(),
-        LowOp::AcquireBatch { start, len } => format!("acquire_batch [{}]", group(*start, *len)),
     }
 }
 

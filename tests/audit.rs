@@ -55,10 +55,10 @@ fn paper_figures_audit_clean_in_all_configs() {
     }
 }
 
-#[test]
-fn example_programs_audit_clean_in_all_configs() {
+/// The shipped `examples/programs/*.sl`, parsed: `(path, sections)`.
+fn example_programs() -> Vec<(String, Vec<AtomicSection>)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs");
-    let mut checked = 0;
+    let mut programs = Vec::new();
     for entry in std::fs::read_dir(dir).expect("examples/programs exists") {
         let path = entry.unwrap().path();
         if path.extension().and_then(|e| e.to_str()) != Some("sl") {
@@ -67,18 +67,24 @@ fn example_programs_audit_clean_in_all_configs() {
         let src = std::fs::read_to_string(&path).unwrap();
         let sections = synth::parse::parse_program(&src)
             .unwrap_or_else(|e| panic!("{} parses: {e}", path.display()));
+        programs.push((path.display().to_string(), sections));
+    }
+    assert!(programs.len() >= 3, "expected the shipped example programs");
+    programs
+}
+
+#[test]
+fn example_programs_audit_clean_in_all_configs() {
+    for (path, sections) in example_programs() {
         for synth in configs() {
             let (_, report) = synth.synthesize_and_audit(&sections);
             assert!(
                 report.is_clean(),
-                "{} must audit clean:\n{}",
-                path.display(),
+                "{path} must audit clean:\n{}",
                 report.render_text()
             );
         }
-        checked += 1;
     }
-    assert!(checked >= 3, "expected the shipped example programs");
 }
 
 #[test]
@@ -415,6 +421,58 @@ fn compiled_sections_resolve_sites_consistently() {
         diags.iter().any(|d| d.lint == Some(Lint::Sl008)),
         "{diags:#?}"
     );
+}
+
+#[test]
+fn what_runs_is_what_was_audited() {
+    // SL006–SL008 audit `lower_section`'s tape. `interp::compile` must
+    // execute that tape and no other: for every program the repo ships —
+    // the `.sl` examples and every `workloads` section builder, under the
+    // default synthesizer the engines and the benchmark use — the compiled
+    // section has the lowered tape's op count, the sites it resolved pass
+    // SL008, and the program audits clean.
+    use std::sync::Arc;
+    use workloads::{interp_chaos, server, synthesis};
+    let mut programs: Vec<(String, ClassRegistry, Vec<AtomicSection>)> = example_programs()
+        .into_iter()
+        .map(|(path, sections)| (path, registry(), sections))
+        .collect();
+    for (name, sections) in [
+        ("cia", vec![synthesis::cia_section()]),
+        ("graph", synthesis::graph_sections()),
+        ("intruder", synthesis::intruder_sections()),
+        ("chaos counter", vec![interp_chaos::counter_section()]),
+        (
+            "server",
+            vec![
+                server::transfer_section(),
+                server::balance_section(),
+                server::scan_mutate_section(),
+            ],
+        ),
+    ] {
+        programs.push((name.to_string(), synthesis::registry(), sections));
+    }
+    for (name, registry, sections) in programs {
+        let (out, report) = Synthesizer::new(registry)
+            .phi(Phi::fib(64))
+            .synthesize_and_audit(&sections);
+        assert!(report.is_clean(), "{name}:\n{}", report.render_text());
+        let env = interp::Env::new(Arc::new(out));
+        let compiled = interp::compile::compile_program(&env);
+        assert_eq!(compiled.len(), env.program.sections.len(), "{name}");
+        for ((section_name, cs), section) in compiled.iter().zip(&env.program.sections) {
+            assert_eq!(section_name, &section.name, "{name}");
+            let tape = synth::lower::lower_section(section, &env.program.tables);
+            assert_eq!(
+                cs.op_count(),
+                tape.ops.len(),
+                "{name}/{section_name}: the engine runs a tape the audit did not see"
+            );
+            let diags = synth::tape_audit::check_resolved_sites(&cs.site_facts(), &env.program);
+            assert!(diags.is_empty(), "{name}/{section_name}: {diags:#?}");
+        }
+    }
 }
 
 // ------------------------------------------------------ random programs

@@ -1,5 +1,6 @@
-//! CLI tests of `semlockc check --json`: the machine-readable output is
-//! a stable contract (`semlock-audit/v2`), pinned by a golden file.
+//! CLI tests of `semlockc check`: the machine-readable `--json` output is
+//! a stable contract (`semlock-audit/v2`), pinned by a golden file; the
+//! `--dump-tape` listing and the flag grammar are pinned structurally.
 //!
 //! v2 wraps the v1 per-file array in a top-level object: `schema` tag,
 //! `files` (the unchanged v1 per-file objects), and `ordering_audit` (the
@@ -9,14 +10,16 @@
 
 use std::process::Command;
 
-fn check_json(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_semlockc"))
-        .arg("check")
-        .arg("--json")
+fn semlockc(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_semlockc"))
         .args(args)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
-        .expect("semlockc runs");
+        .expect("semlockc runs")
+}
+
+fn check_json(args: &[&str]) -> String {
+    let out = semlockc(&[&["check", "--json"], args].concat());
     assert!(
         out.status.success(),
         "exit {:?}, stderr: {}",
@@ -77,25 +80,31 @@ fn check_json_v2_structure() {
 }
 
 #[test]
-fn check_dump_tape_shows_both_tapes_and_pass_counts() {
-    let out = Command::new(env!("CARGO_BIN_EXE_semlockc"))
-        .arg("check")
-        .arg("--dump-tape")
-        .arg("--no-opt")
-        .arg("examples/programs/fig1.sl")
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("semlockc runs");
+fn check_dump_tape_shows_the_tape_that_runs() {
+    let out = semlockc(&[
+        "check",
+        "--dump-tape",
+        "--no-opt",
+        "examples/programs/fig1.sl",
+    ]);
     assert!(out.status.success(), "exit {:?}", out.status.code());
     let got = String::from_utf8(out.stdout).expect("utf-8 output");
-    // Per-section header with op counts and per-pass stats.
-    assert!(got.contains("section fig1:"), "{got}");
-    assert!(got.contains(" ops -> "), "{got}");
-    assert!(got.contains("(fused "), "{got}");
-    assert!(got.contains("hoisted "), "{got}");
-    // Side-by-side columns, rendered ops on both sides.
-    assert!(got.contains("pre-opt"), "{got}");
-    assert!(got.contains("post-opt"), "{got}");
+    // Per-section header with the op count, then one `pc: op` column.
+    let header = got
+        .lines()
+        .find(|l| l.contains("section fig1: "))
+        .unwrap_or_else(|| panic!("no section header: {got}"));
+    let n: usize = header
+        .rsplit_once(": ")
+        .and_then(|(_, rest)| rest.strip_suffix(" ops"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("header is not `section <name>: <n> ops`: {header}"));
+    let ops: Vec<&str> = got.lines().filter(|l| l.starts_with("  ")).collect();
+    assert_eq!(ops.len(), n, "{got}");
+    for (pc, line) in ops.iter().enumerate() {
+        assert!(line.trim_start().starts_with(&format!("{pc}: ")), "{line}");
+        assert!(!line.contains(" | "), "two columns: {line}");
+    }
     assert!(got.contains("lock "), "{got}");
     assert!(got.contains("unlock_all"), "{got}");
 }
@@ -103,14 +112,12 @@ fn check_dump_tape_shows_both_tapes_and_pass_counts() {
 #[test]
 fn check_dump_tape_keeps_json_stdout_parseable() {
     // Under --json the dump goes to stderr so stdout stays the v2 document.
-    let out = Command::new(env!("CARGO_BIN_EXE_semlockc"))
-        .arg("check")
-        .arg("--json")
-        .arg("--dump-tape")
-        .arg("examples/programs/fig1.sl")
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("semlockc runs");
+    let out = semlockc(&[
+        "check",
+        "--json",
+        "--dump-tape",
+        "examples/programs/fig1.sl",
+    ]);
     assert!(out.status.success(), "exit {:?}", out.status.code());
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
     let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
@@ -118,6 +125,36 @@ fn check_dump_tape_keeps_json_stdout_parseable() {
         stdout.starts_with("{\"schema\":\"semlock-audit/v2\","),
         "{stdout}"
     );
-    assert!(!stdout.contains("pre-opt"), "{stdout}");
-    assert!(stderr.contains("pre-opt"), "{stderr}");
+    assert!(!stdout.contains("section fig1:"), "{stdout}");
+    assert!(stderr.contains("section fig1: "), "{stderr}");
+    assert!(stderr.contains("lock "), "{stderr}");
+    assert!(stderr.contains("unlock_all"), "{stderr}");
+}
+
+#[test]
+fn check_flags_mean_the_same_in_either_order() {
+    let file = "examples/programs/fig1.sl";
+    for flag in ["--json", "--dump-tape"] {
+        let after = semlockc(&["--check", flag, file]);
+        let before = semlockc(&[flag, "--check", file]);
+        assert!(after.status.success(), "--check {flag}: {after:?}");
+        assert!(before.status.success(), "{flag} --check: {before:?}");
+        assert_eq!(before.stdout, after.stdout, "{flag}");
+        assert_eq!(before.stderr, after.stderr, "{flag}");
+    }
+}
+
+#[test]
+fn check_only_flags_are_refused_in_compile_mode() {
+    for flag in ["--json", "--dump-tape"] {
+        let out = semlockc(&[flag, "examples/programs/fig1.sl"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains("check"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} printed a compilation");
+    }
 }
