@@ -4,6 +4,7 @@
 //! acquired in the same deadlock-free order the §3 synthesis produces.
 
 use crate::binlock::BinaryLock;
+use semlock::inline_vec::InlineVec;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -46,27 +47,37 @@ impl TplLock {
     }
 }
 
+/// Locks a [`TplTxn`] holds inline before its held set spills to the
+/// heap — the same four as the semantic `Txn`'s `LOCAL_SET`, so 2PL pays
+/// for no allocation Ours does not (and, like `Txn`, its prologue,
+/// acquisition and epilogue are `#[inline]`).
+const INLINE_HELD: usize = 4;
+
 /// A 2PL transaction: acquires instance locks, tracks them, and releases
 /// all at the end. Same-class instances are ordered dynamically by id,
 /// mirroring `LV2`.
 #[derive(Default)]
 pub struct TplTxn<'a> {
-    held: Vec<&'a TplLock>,
+    /// Held locks in acquisition order (`None` only in unused inline
+    /// slots).
+    held: InlineVec<Option<&'a TplLock>, INLINE_HELD>,
 }
 
 impl<'a> TplTxn<'a> {
     /// Begin.
+    #[inline]
     pub fn new() -> TplTxn<'a> {
-        TplTxn { held: Vec::new() }
+        TplTxn::default()
     }
 
     /// Acquire unless already held (the `LV` skip).
+    #[inline]
     pub fn lv(&mut self, l: &'a TplLock) {
-        if self.held.iter().any(|h| h.id == l.id) {
+        if self.holds(l) {
             return;
         }
         l.lock();
-        self.held.push(l);
+        self.held.push(Some(l));
     }
 
     /// Acquire several locks in ascending id order.
@@ -77,27 +88,37 @@ impl<'a> TplTxn<'a> {
         }
     }
 
+    /// Position of `l` in the held set, if held.
+    #[inline]
+    fn position(&self, l: &TplLock) -> Option<usize> {
+        self.held
+            .iter()
+            .position(|h| h.is_some_and(|h| h.id == l.id))
+    }
+
     /// Whether currently holding a lock.
     pub fn holds(&self, l: &TplLock) -> bool {
-        self.held.iter().any(|h| h.id == l.id)
+        self.position(l).is_some()
     }
 
     /// Release one instance early.
     pub fn release(&mut self, l: &TplLock) {
-        if let Some(pos) = self.held.iter().position(|h| h.id == l.id) {
-            self.held.swap_remove(pos).unlock();
+        if let Some(pos) = self.position(l) {
+            self.held.swap_remove(pos);
+            l.unlock();
         }
     }
 
-    /// Release everything.
+    /// Release everything, in acquisition order.
+    #[inline]
     pub fn unlock_all(&mut self) {
-        for l in self.held.drain(..) {
-            l.unlock();
-        }
+        self.held
+            .drain_each(|l| l.into_iter().for_each(TplLock::unlock));
     }
 }
 
 impl Drop for TplTxn<'_> {
+    #[inline]
     fn drop(&mut self) {
         self.unlock_all();
     }

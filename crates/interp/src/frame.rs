@@ -1,79 +1,11 @@
-//! What a section run hands back: the final variable [`Frame`], and the
-//! small inline vector both it and [`crate::RetryRun`] store their values
-//! in, so that returning a result allocates nothing.
+//! What a section run hands back: the final variable [`Frame`]. It and
+//! [`crate::RetryRun`] store their values in semlock's [`InlineVec`], so
+//! that returning a result allocates nothing.
 
+pub use semlock::inline_vec::InlineVec;
 use semlock::value::Value;
 use std::borrow::Cow;
 use std::fmt;
-
-/// A vector of `Copy` values that lives inline up to `N` elements and
-/// moves to the heap beyond. Reads go through `Deref<Target = [T]>`.
-#[derive(Clone)]
-pub struct InlineVec<T, const N: usize> {
-    len: usize,
-    inline: [T; N],
-    /// Holds every element once there are more than `N`; empty (and
-    /// unallocated) until then.
-    heap: Vec<T>,
-}
-
-impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
-    /// Append a value, spilling to the heap at the `N + 1`-th.
-    pub fn push(&mut self, v: T) {
-        if self.len < N {
-            self.inline[self.len] = v;
-        } else {
-            if self.len == N {
-                self.heap.extend_from_slice(&self.inline);
-            }
-            self.heap.push(v);
-        }
-        self.len += 1;
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
-    /// An empty vector (no allocation).
-    fn default() -> Self {
-        InlineVec {
-            len: 0,
-            inline: [T::default(); N],
-            heap: Vec::new(),
-        }
-    }
-}
-
-impl<T: Copy + Default, const N: usize> From<&[T]> for InlineVec<T, N> {
-    fn from(values: &[T]) -> Self {
-        let mut v = Self::default();
-        match v.inline.get_mut(..values.len()) {
-            Some(inline) => inline.copy_from_slice(values),
-            None => v.heap = values.to_vec(),
-        }
-        v.len = values.len();
-        v
-    }
-}
-
-impl<T, const N: usize> std::ops::Deref for InlineVec<T, N> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        self.inline.get(..self.len).unwrap_or(&self.heap)
-    }
-}
-
-impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
 
 /// Sections rarely declare more than a handful of variables; frames up to
 /// this many values are returned inline.
@@ -159,21 +91,6 @@ impl fmt::Debug for Frame<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inline_vec_spills_past_its_inline_capacity_and_compares_by_content() {
-        let mut v: InlineVec<u64, 2> = InlineVec::default();
-        assert!(v.is_empty());
-        v.push(7);
-        v.push(8);
-        assert_eq!(&*v, &[7, 8]);
-        let inline = v.clone();
-        v.push(9);
-        assert_eq!(&*v, &[7, 8, 9]);
-        assert_ne!(v, inline);
-        assert_eq!(v, InlineVec::from(&[7, 8, 9][..]));
-        assert_eq!(format!("{inline:?}"), "[7, 8]");
-    }
 
     #[test]
     fn frame_reads_by_name_in_slot_order() {

@@ -90,6 +90,7 @@ pub mod commut;
 pub mod dwcas;
 pub mod error;
 pub mod fault;
+pub mod inline_vec;
 pub mod manager;
 pub mod mech;
 pub mod mode;

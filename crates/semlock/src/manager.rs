@@ -201,6 +201,7 @@ impl SemLock {
     /// [`SemLock::lock`] except that a poisoned instance is reported as
     /// [`LockError::Poisoned`] rather than a panic. This is what
     /// [`SemLock::acquire`] compiles an unbounded [`AcquireSpec`] down to.
+    #[inline]
     pub fn lock_checked(&self, mode: ModeId) -> Result<(), LockError> {
         self.lock_impl(mode).map_err(|_| self.poisoned())
     }
@@ -332,23 +333,13 @@ impl SemLock {
         self.acquire_with(spec, || txn, &|| held.to_vec())
     }
 
-    /// [`SemLock::acquire_as`] for [`crate::txn::Txn::acquire`], whose
-    /// held set has another shape: `held` builds the `(instance id, mode)`
-    /// list, and is called only if the acquisition waits long enough to
-    /// register with the watchdog.
-    pub(crate) fn acquire_for(
-        &self,
-        spec: &AcquireSpec,
-        txn: TxnId,
-        held: &dyn Fn() -> Vec<(u64, ModeId)>,
-    ) -> Result<(), LockError> {
-        self.acquire_with(spec, || txn, held)
-    }
-
-    /// Shared body of the `acquire` family; `txn` is only evaluated for a
-    /// bounded wait.
+    /// Shared body of the `acquire` family, and what
+    /// [`crate::txn::Txn::acquire`] calls: `txn` is called only for a
+    /// bounded wait (a `Txn` draws its id at first use), and `held` builds
+    /// the `(instance id, mode)` list only if the acquisition waits long
+    /// enough to register with the watchdog.
     #[inline]
-    fn acquire_with(
+    pub(crate) fn acquire_with(
         &self,
         spec: &AcquireSpec,
         txn: impl FnOnce() -> TxnId,

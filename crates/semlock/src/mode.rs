@@ -26,6 +26,7 @@ use crate::symbolic::{Operation, SymArg, SymbolicSet};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// An argument of a mode operation: constant, abstract value, or wildcard.
@@ -406,6 +407,12 @@ impl ModeTableBuilder {
 
     /// Generate modes, merge per §5.3, compute `F_c`, and partition.
     pub fn build(self) -> Arc<ModeTable> {
+        self.build_with(fc_by_pattern)
+    }
+
+    /// [`ModeTableBuilder::build`] with step 2's `F_c` evaluation passed
+    /// in, so tests can swap in the every-pair reference.
+    fn build_with(self, fc_of: FcEval) -> Arc<ModeTable> {
         let ModeTableBuilder {
             schema,
             spec,
@@ -435,33 +442,30 @@ impl ModeTableBuilder {
             phi = phi.coarsen(phi.n() / 2);
         }
 
-        // Materialize raw modes per site.
+        // Materialize raw modes per site, remembering where each came from
+        // (its site and the index of its abstract-value assignment).
         let mut sites = Vec::with_capacity(symsets.len());
         let mut raw_modes: Vec<Mode> = Vec::new();
+        let mut raw_origin: Vec<(u32, u32)> = Vec::new();
+        let n = phi.n() as usize;
         for symset in symsets {
+            let s = sites.len() as u32;
             if !symset.is_variable() {
-                let mode = instantiate(&symset, &[]);
                 let raw = raw_modes.len() as u32;
-                raw_modes.push(mode);
+                raw_modes.push(instantiate(&symset, &[]));
+                raw_origin.push((s, 0));
                 sites.push(Site {
                     symset,
                     kind: SiteKind::Const(raw),
                 });
             } else {
                 let slots = symset.var_slots();
-                let n = phi.n() as usize;
                 let base = raw_modes.len() as u32;
-                let total = n.pow(slots as u32);
-                for idx in 0..total {
-                    // Decode idx into an abstract value per slot (slot 0 is
-                    // the least significant digit, matching `select`).
-                    let mut assignment = Vec::with_capacity(slots);
-                    let mut rem = idx;
-                    for _ in 0..slots {
-                        assignment.push(AbsVal((rem % n) as u16));
-                        rem /= n;
-                    }
+                let mut assignment = Vec::with_capacity(slots);
+                for idx in 0..n.pow(slots as u32) {
+                    decode(idx, n, slots, &mut assignment);
                     raw_modes.push(instantiate(&symset, &assignment));
+                    raw_origin.push((s, idx as u32));
                 }
                 sites.push(Site {
                     symset,
@@ -470,38 +474,53 @@ impl ModeTableBuilder {
             }
         }
 
-        // Step 1: dedup structurally identical modes.
-        let mut canon_of: HashMap<Mode, u32> = HashMap::new();
-        let mut deduped: Vec<Mode> = Vec::new();
-        let mut raw_to_dedup = Vec::with_capacity(raw_modes.len());
-        for m in &raw_modes {
-            let id = *canon_of.entry(m.clone()).or_insert_with(|| {
-                deduped.push(m.clone());
-                (deduped.len() - 1) as u32
-            });
-            raw_to_dedup.push(id);
+        // Step 1: dedup structurally identical modes. The first raw mode
+        // of each class represents it; representatives come in raw order.
+        let mut dedup_of: HashMap<&Mode, u32> = HashMap::new();
+        let mut reps: Vec<u32> = Vec::new();
+        let raw_to_dedup: Vec<u32> = raw_modes
+            .iter()
+            .enumerate()
+            .map(|(r, m)| {
+                *dedup_of.entry(m).or_insert_with(|| {
+                    reps.push(r as u32);
+                    (reps.len() - 1) as u32
+                })
+            })
+            .collect();
+        drop(dedup_of);
+        let mut is_rep = vec![false; raw_modes.len()];
+        for &r in &reps {
+            is_rep[r as usize] = true;
         }
+        let deduped: Vec<Mode> = raw_modes
+            .into_iter()
+            .zip(is_rep)
+            .filter_map(|(m, rep)| rep.then_some(m))
+            .collect();
 
-        // Step 2: F_c over deduped modes (symmetric).
+        // Step 2: F_c over deduped modes (symmetric), evaluated once per
+        // equality pattern.
         let k = deduped.len();
-        let mut fc = vec![true; k * k];
-        for i in 0..k {
-            for j in i..k {
-                let c = modes_must_commute(&spec, &deduped[i], &deduped[j], &phi);
-                fc[i * k + j] = c;
-                fc[j * k + i] = c;
-            }
-        }
+        let origins: Vec<(u32, u32)> = reps.iter().map(|&r| raw_origin[r as usize]).collect();
+        let fc = fc_of(&spec, &phi, &sites, &deduped, &origins);
 
         // Step 3: merge indistinguishable modes — identical F_c rows
         // (§5.3 opt. 1). Such modes admit exactly the same concurrency, so
         // one representative (with the union of operation patterns, kept for
         // coverage checks) suffices.
-        let mut row_repr: HashMap<&[bool], u32> = HashMap::new();
+        // Rows are compared as bit sets, 64 entries a word.
+        let words = k.div_ceil(64);
+        let mut rows = vec![0u64; k * words];
+        for (e, _) in fc.iter().enumerate().filter(|(_, &c)| c) {
+            let (i, j) = (e / k, e % k);
+            rows[i * words + j / 64] |= 1 << (j % 64);
+        }
+        let mut row_repr: HashMap<&[u64], u32, BuildHasherDefault<KeyHasher>> = HashMap::default();
         let mut dedup_to_canon = vec![0u32; k];
         let mut groups: Vec<Vec<u32>> = Vec::new();
         for i in 0..k {
-            let row = &fc[i * k..(i + 1) * k];
+            let row = &rows[i * words..(i + 1) * words];
             if let Some(&g) = row_repr.get(row) {
                 dedup_to_canon[i] = g;
                 groups[g as usize].push(i as u32);
@@ -513,27 +532,34 @@ impl ModeTableBuilder {
             }
         }
         drop(row_repr);
-        let modes: Vec<Mode> = groups
-            .iter()
-            .map(|g| {
-                let mut ops = Vec::new();
-                for &d in g {
-                    ops.extend(deduped[d as usize].ops().iter().cloned());
+        let (modes, canon_fc) = if groups.len() == k {
+            // No rows merged: every group is one deduped mode, in order.
+            (deduped, fc)
+        } else {
+            let modes: Vec<Mode> = groups
+                .iter()
+                .map(|g| {
+                    let mut ops = Vec::new();
+                    for &d in g {
+                        ops.extend(deduped[d as usize].ops().iter().cloned());
+                    }
+                    Mode::new(ops)
+                })
+                .collect();
+            let n_canon = modes.len();
+            let mut canon_fc = vec![true; n_canon * n_canon];
+            for a in 0..n_canon {
+                for b in 0..n_canon {
+                    // Representative rows are identical within a group, so
+                    // any member's entry is the group's entry.
+                    let i = groups[a][0] as usize;
+                    let j = groups[b][0] as usize;
+                    canon_fc[a * n_canon + b] = fc[i * k + j];
                 }
-                Mode::new(ops)
-            })
-            .collect();
-        let n_canon = modes.len();
-        let mut canon_fc = vec![true; n_canon * n_canon];
-        for a in 0..n_canon {
-            for b in 0..n_canon {
-                // Representative rows are identical within a group, so any
-                // member's entry is the group's entry.
-                let i = groups[a][0] as usize;
-                let j = groups[b][0] as usize;
-                canon_fc[a * n_canon + b] = fc[i * k + j];
             }
-        }
+            (modes, canon_fc)
+        };
+        let n_canon = modes.len();
         let raw_to_canon: Vec<u32> = raw_to_dedup
             .iter()
             .map(|&d| dedup_to_canon[d as usize])
@@ -629,11 +655,247 @@ fn instantiate(symset: &SymbolicSet, assignment: &[AbsVal]) -> Mode {
     )
 }
 
+/// Decode raw assignment index `idx` into one abstract value per slot
+/// (slot 0 is the least significant base-`n` digit, matching `select`).
+fn decode(mut idx: usize, n: usize, slots: usize, out: &mut Vec<AbsVal>) {
+    out.clear();
+    for _ in 0..slots {
+        out.push(AbsVal((idx % n) as u16));
+        idx /= n;
+    }
+}
+
+/// Step 2 of [`ModeTableBuilder::build`]: the arguments of
+/// [`fc_by_pattern`], its result.
+type FcEval = fn(&CommutSpec, &Phi, &[Site], &[Mode], &[(u32, u32)]) -> Vec<bool>;
+
+/// `F_c` over deduplicated modes as a row-major `k²` matrix, where mode
+/// `d` was instantiated at site `origins[d].0` under assignment index
+/// `origins[d].1`.
+///
+/// `F_c` is invariant under renaming abstract values: the three-valued
+/// equality of `commut` compares an abstract value only with another one
+/// or with `φ(c)` for a constant `c`. So the entry for two modes is a
+/// function of their sites and of the equality pattern of (slots of the
+/// first ‖ slots of the second ‖ `φ` of every constant in the symbolic
+/// sets and the spec). Each mode's own part of that pattern — its site,
+/// which of its slots are equal, which equal which `φ(c)` — is interned
+/// as a *shape*; a pair's key is its two shapes plus one bit per
+/// cross-slot equality, and [`modes_must_commute`] runs once per distinct
+/// key instead of once per pair. Modes too wide to key (more than 8 slots,
+/// or more than 24 cross-slot bits) are evaluated directly.
+fn fc_by_pattern(
+    spec: &CommutSpec,
+    phi: &Phi,
+    sites: &[Site],
+    modes: &[Mode],
+    origins: &[(u32, u32)],
+) -> Vec<bool> {
+    // Rank of each constant's abstract value among the distinct ones, plus
+    // one (0: no constant maps there).
+    let n = phi.n() as usize;
+    let mut const_rank = vec![0u8; n];
+    let mut n_consts = 0usize;
+    let mut note = |c: Value| {
+        let slot = &mut const_rank[phi.apply(c).0 as usize];
+        if *slot == 0 && n_consts < 255 {
+            n_consts += 1;
+            *slot = n_consts as u8;
+        }
+    };
+    spec.for_each_const(&mut note);
+    for site in sites {
+        for op in site.symset.ops() {
+            for a in &op.args {
+                if let SymArg::Const(c) = a {
+                    note(*c);
+                }
+            }
+        }
+    }
+    // Codes are one byte: constant ranks, then up to 8 fresh values.
+    let keyable_consts = n_consts <= 248;
+
+    // Each mode's assignment and shape id (`u32::MAX`: not keyable).
+    let k = modes.len();
+    let mut values: Vec<AbsVal> = Vec::new();
+    let mut spans: Vec<(u32, u32)> = Vec::with_capacity(k);
+    let mut shapes: Vec<u32> = Vec::with_capacity(k);
+    let mut shape_ids: HashMap<(u32, u64), u32> = HashMap::new();
+    let mut assignment = Vec::new();
+    let mut fresh: Vec<AbsVal> = Vec::new();
+    for &(s, idx) in origins {
+        let slots = match sites[s as usize].kind {
+            SiteKind::Const(_) => 0,
+            SiteKind::Var { slots, .. } => slots,
+        };
+        decode(idx as usize, n, slots, &mut assignment);
+        spans.push((values.len() as u32, slots as u32));
+        values.extend_from_slice(&assignment);
+        if slots > 8 || !keyable_consts {
+            shapes.push(u32::MAX);
+            continue;
+        }
+        // Slot codes: a constant's rank, else n_consts + the rank of the
+        // value's first occurrence among this mode's other values.
+        let mut code = 0u64;
+        fresh.clear();
+        for (p, &v) in assignment.iter().enumerate() {
+            let c = match const_rank[v.0 as usize] {
+                0 => {
+                    let r = fresh.iter().position(|&f| f == v).unwrap_or_else(|| {
+                        fresh.push(v);
+                        fresh.len() - 1
+                    });
+                    n_consts + r
+                }
+                r => r as usize - 1,
+            };
+            code |= (c as u64) << (8 * p);
+        }
+        let next = shape_ids.len() as u32;
+        shapes.push(*shape_ids.entry((s, code)).or_insert(next));
+    }
+    let keyable = |shape: u32| shape < 1 << 20;
+
+    let mut seen: HashMap<u64, bool, BuildHasherDefault<KeyHasher>> = HashMap::default();
+    let mut fc = vec![true; k * k];
+    for i in 0..k {
+        let (si, li) = spans[i];
+        let a = &values[si as usize..][..li as usize];
+        for j in i..k {
+            let (sj, lj) = spans[j];
+            let b = &values[sj as usize..][..lj as usize];
+            let eval = || modes_must_commute(spec, &modes[i], &modes[j], phi);
+            let c = if keyable(shapes[i]) && keyable(shapes[j]) && a.len() * b.len() <= 24 {
+                let mut cross = 0u64;
+                for (p, x) in a.iter().enumerate() {
+                    for (q, y) in b.iter().enumerate() {
+                        cross |= u64::from(x == y) << (p * b.len() + q);
+                    }
+                }
+                let key = u64::from(shapes[i]) << 44 | u64::from(shapes[j]) << 24 | cross;
+                *seen.entry(key).or_insert_with(eval)
+            } else {
+                eval()
+            };
+            fc[i * k + j] = c;
+            fc[j * k + i] = c;
+        }
+    }
+    fc
+}
+
+/// Hasher for the build's word keys ([`fc_by_pattern`]'s packed pair
+/// keys, step 3's bit rows): one folded multiply per word.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The every-pair reference for [`fc_by_pattern`]: `modes_must_commute`
+/// on each of the `k(k+1)/2` pairs, as the table was built before
+/// evaluation by pattern.
+#[cfg(test)]
+fn fc_every_pair(
+    spec: &CommutSpec,
+    phi: &Phi,
+    _: &[Site],
+    modes: &[Mode],
+    _: &[(u32, u32)],
+) -> Vec<bool> {
+    let k = modes.len();
+    let mut fc = vec![true; k * k];
+    for i in 0..k {
+        for j in i..k {
+            let c = modes_must_commute(spec, &modes[i], &modes[j], phi);
+            fc[i * k + j] = c;
+            fc[j * k + i] = c;
+        }
+    }
+    fc
+}
+
+#[cfg(test)]
+impl ModeTableBuilder {
+    /// Build twice, by pattern and with the every-pair reference, and
+    /// assert the two agree entry by entry before the §5.3 merge (the
+    /// deduped `F_c`) and after it (modes, `F_c`, placement, `select`).
+    pub(crate) fn build_cross_checked(self) -> Arc<ModeTable> {
+        fn checked(
+            spec: &CommutSpec,
+            phi: &Phi,
+            sites: &[Site],
+            modes: &[Mode],
+            origins: &[(u32, u32)],
+        ) -> Vec<bool> {
+            let fast = fc_by_pattern(spec, phi, sites, modes, origins);
+            let slow = fc_every_pair(spec, phi, sites, modes, origins);
+            let k = modes.len();
+            for (e, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                assert_eq!(
+                    f,
+                    s,
+                    "deduped F_c({}, {}): {:?} vs {:?}",
+                    e / k,
+                    e % k,
+                    modes[e / k],
+                    modes[e % k]
+                );
+            }
+            fast
+        }
+        let reference = ModeTableBuilder {
+            schema: self.schema.clone(),
+            spec: self.spec.clone(),
+            phi: self.phi,
+            symsets: self.symsets.clone(),
+            cap: self.cap,
+            partitioning: self.partitioning,
+        }
+        .build_with(fc_every_pair);
+        let t = self.build_with(checked);
+        assert_eq!(t.phi, reference.phi);
+        assert_eq!(t.modes, reference.modes);
+        assert_eq!(t.fc, reference.fc);
+        assert_eq!(t.raw_to_canon, reference.raw_to_canon, "select differs");
+        assert_eq!(t.part_sizes, reference.part_sizes);
+        for (p, q) in t.placement.iter().zip(&reference.placement) {
+            assert_eq!(
+                (p.part, p.local, &p.local_conflicts, p.conflict_mask, p.free),
+                (q.part, q.local, &q.local_conflicts, q.conflict_mask, q.free)
+            );
+        }
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::set_schema;
+    use crate::spec::{ArgRef, Cond};
     use crate::symbolic::SymOp;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn fig3b() -> Arc<CommutSpec> {
         let s = set_schema();
@@ -671,7 +933,7 @@ mod tests {
         let schema = spec.schema().clone();
         let mut b = ModeTable::builder(schema.clone(), spec, Phi::modulo(8));
         let site = b.add_site(var_site(&schema, &[("add", &[SymArg::Star])]));
-        let t = b.build();
+        let t = b.build_cross_checked();
         assert_eq!(t.mode_count(), 1);
         let m = t.select(site, &[]);
         assert_eq!(m, t.select(site, &[Value(42)]));
@@ -689,7 +951,7 @@ mod tests {
             &schema,
             &[("add", &[SymArg::Var(0)]), ("remove", &[SymArg::Var(0)])],
         ));
-        let t = b.build();
+        let t = b.build_cross_checked();
         // One mode per abstract value; each self-conflicts (add/remove same
         // class) but commutes with the other classes → 4 modes, each its own
         // partition of size 1.
@@ -716,7 +978,7 @@ mod tests {
             &schema,
             &[("add", &[SymArg::Var(0)]), ("remove", &[SymArg::Var(1)])],
         ));
-        let t = b.build();
+        let t = b.build_cross_checked();
         // 4 raw modes; {add(α0),remove(α1)} and {add(α1),remove(α0)} are NOT
         // indistinguishable from the diagonal ones, but the two diagonal
         // modes (same class) may merge if rows match. Verify selection
@@ -745,7 +1007,7 @@ mod tests {
             &schema,
             &[("add", &[SymArg::Var(0)]), ("remove", &[SymArg::Var(0)])],
         ));
-        let t = b.build();
+        let t = b.build_cross_checked();
         assert!(t.mode_count() <= 8, "cap respected: {}", t.mode_count());
         assert!(t.phi().n() <= 8);
     }
@@ -759,7 +1021,7 @@ mod tests {
         let schema = spec.schema().clone();
         let mut b = ModeTable::builder(schema.clone(), spec, Phi::modulo(16));
         let site = b.add_site(var_site(&schema, &[("contains", &[SymArg::Var(0)])]));
-        let t = b.build();
+        let t = b.build_cross_checked();
         assert_eq!(t.mode_count(), 1);
         let m = t.select(site, &[Value(3)]);
         assert!(t.placement(m).free);
@@ -787,7 +1049,7 @@ mod tests {
                 ("put", &[SymArg::Var(0), SymArg::Star]),
             ],
         ));
-        let t = b.build();
+        let t = b.build_cross_checked();
         assert_eq!(t.mode_count(), 64);
         assert_eq!(t.partition_count(), 64);
         for p in t.partition_sizes() {
@@ -805,7 +1067,7 @@ mod tests {
         let mut b = ModeTable::builder(schema.clone(), spec, Phi::modulo(4));
         let s1 = b.add_site(var_site(&schema, &[("add", &[SymArg::Var(0)])]));
         let s2 = b.add_site(var_site(&schema, &[("add", &[SymArg::Var(0)])]));
-        let t = b.build();
+        let t = b.build_cross_checked();
         // Both sites map onto the same canonical modes.
         assert_eq!(t.select(s1, &[Value(9)]), t.select(s2, &[Value(9)]));
         // add(αᵢ) commutes with everything here → all merged & free.
@@ -822,7 +1084,7 @@ mod tests {
             &schema,
             &[("add", &[SymArg::Var(0)]), ("remove", &[SymArg::Var(0)])],
         ));
-        let t = b.build();
+        let t = b.build_cross_checked();
         let m = t.select(site, &[Value(6)]); // φ(6)=α2
         let add6 = Operation::new(schema.method("add"), vec![Value(6)]);
         let add2 = Operation::new(schema.method("add"), vec![Value(2)]); // also α2
@@ -840,11 +1102,141 @@ mod tests {
         let schema = spec.schema().clone();
         let mut b = ModeTable::builder(schema.clone(), spec, Phi::modulo(4));
         let site = b.add_site_all();
-        let t = b.build();
+        let t = b.build_cross_checked();
         let m = t.select(site, &[]);
         assert!(!t.fc(m, m), "lock(+) conflicts with itself");
         // Covers everything.
         let clear = Operation::new(schema.method("clear"), vec![]);
         assert!(t.mode_covers(m, &clear));
+    }
+
+    /// A random specification over `schema`: every method pair gets a
+    /// condition mixing argument (in)equalities, constants and
+    /// connectives.
+    fn random_spec(schema: &Arc<AdtSchema>, rng: &mut SmallRng) -> Arc<CommutSpec> {
+        fn arg(rng: &mut SmallRng, arity: usize, left: bool) -> ArgRef {
+            match rng.gen_range(0..4u32) {
+                0 => ArgRef::Const(Value(rng.gen_range(0..6u64))),
+                _ if arity == 0 => ArgRef::Const(Value(rng.gen_range(0..6u64))),
+                _ if left => ArgRef::Left(rng.gen_range(0..arity)),
+                _ => ArgRef::Right(rng.gen_range(0..arity)),
+            }
+        }
+        fn cond(rng: &mut SmallRng, la: usize, ra: usize, depth: u32) -> Cond {
+            let side = |rng: &mut SmallRng| {
+                let left = rng.gen_range(0..2u32) == 0;
+                arg(rng, if left { la } else { ra }, left)
+            };
+            // Mostly (in)equalities: the atoms whose outcome depends on
+            // which abstract values the modes carry.
+            match rng.gen_range(0..if depth == 0 { 8 } else { 11u32 }) {
+                0 => Cond::True,
+                1 => Cond::False,
+                2 => Cond::Eq(side(rng), side(rng)),
+                3..=7 => Cond::Ne(side(rng), side(rng)),
+                8 => Cond::And((0..2).map(|_| cond(rng, la, ra, depth - 1)).collect()),
+                9 => Cond::Or((0..2).map(|_| cond(rng, la, ra, depth - 1)).collect()),
+                _ => Cond::Not(Box::new(cond(rng, la, ra, depth - 1))),
+            }
+        }
+        let mut b = CommutSpec::builder(schema.clone());
+        for i in 0..schema.method_count() {
+            for j in i..schema.method_count() {
+                let (la, ra) = (schema.sig(i).arity, schema.sig(j).arity);
+                let depth = rng.gen_range(0..3u32);
+                let c = cond(rng, la, ra, depth);
+                // A self-pair must be symmetric to be a specification.
+                let c = if i == j {
+                    Cond::And(vec![c.clone(), c.mirrored()])
+                } else {
+                    c
+                };
+                b = b.pair(&schema.sig(i).name, &schema.sig(j).name, c);
+            }
+        }
+        b.build()
+    }
+
+    /// A random site: one or two operations over variables `v0..v2`,
+    /// `*` and small constants.
+    fn random_symset(schema: &AdtSchema, rng: &mut SmallRng) -> SymbolicSet {
+        let ops = (0..rng.gen_range(1..3usize))
+            .map(|_| {
+                let m = rng.gen_range(0..schema.method_count());
+                let args = (0..schema.sig(m).arity)
+                    .map(|_| match rng.gen_range(0..5u32) {
+                        0 => SymArg::Star,
+                        1 => SymArg::Const(Value(rng.gen_range(0..6u64))),
+                        _ => SymArg::Var(rng.gen_range(0..3usize)),
+                    })
+                    .collect();
+                SymOp::new(m, args)
+            })
+            .collect();
+        SymbolicSet::new(ops)
+    }
+
+    #[test]
+    fn pattern_fc_sees_equal_slots_within_one_operation() {
+        // `put(k, v)` commutes with `put(k', v')` iff k ≠ v and k' ≠ v':
+        // the entry for {put(α0,α0)} vs {put(α2,α3)} differs from the one
+        // for {put(α0,α1)} vs {put(α2,α3)} although neither pair shares a
+        // value across the two modes. Only a mode's own slot pattern tells
+        // them apart — a comparison within one operation, which random
+        // specifications rarely make.
+        let schema = AdtSchema::builder("Map").method("put", 2).build();
+        let spec = CommutSpec::builder(schema.clone())
+            .pair(
+                "put",
+                "put",
+                Cond::And(vec![
+                    Cond::Ne(ArgRef::Left(0), ArgRef::Left(1)),
+                    Cond::Ne(ArgRef::Right(0), ArgRef::Right(1)),
+                ]),
+            )
+            .build();
+        let mut b = ModeTable::builder(schema.clone(), spec, Phi::modulo(4));
+        let site = b.add_site(var_site(
+            &schema,
+            &[("put", &[SymArg::Var(0), SymArg::Var(1)])],
+        ));
+        let t = b.build_cross_checked();
+        let m = |k, v| t.select(site, &[Value(k), Value(v)]);
+        assert!(!t.fc(m(0, 0), m(2, 3)));
+        assert!(t.fc(m(0, 1), m(2, 3)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Evaluating F_c once per equality pattern builds the same table
+        /// as evaluating it on every pair — same modes, F_c, placement
+        /// and `select` — on random Set and Map specifications with
+        /// constants, random sites, φ kinds and caps.
+        #[test]
+        fn pattern_fc_matches_every_pair(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let schema = if rng.gen_range(0..2u32) == 0 {
+                set_schema()
+            } else {
+                AdtSchema::builder("Map")
+                    .method("get", 1)
+                    .method("put", 2)
+                    .method("remove", 1)
+                    .method("size", 0)
+                    .build()
+            };
+            let spec = random_spec(&schema, &mut rng);
+            let n = [1u16, 2, 3, 4, 8][rng.gen_range(0..5usize)];
+            let phi = if rng.gen_range(0..2u32) == 0 { Phi::modulo(n) } else { Phi::fib(n) };
+            let mut b = ModeTable::builder(schema.clone(), spec, phi);
+            if rng.gen_range(0..4u32) == 0 {
+                b = b.cap(rng.gen_range(1..40usize));
+            }
+            for _ in 0..rng.gen_range(1..4usize) {
+                b.add_site(random_symset(&schema, &mut rng));
+            }
+            b.build_cross_checked();
+        }
     }
 }

@@ -90,6 +90,22 @@ impl Cond {
         }
     }
 
+    /// Call `f` on every [`ArgRef::Const`] the condition mentions.
+    pub(crate) fn for_each_const(&self, f: &mut impl FnMut(Value)) {
+        match self {
+            Cond::True | Cond::False => {}
+            Cond::Eq(a, b) | Cond::Ne(a, b) => {
+                for r in [a, b] {
+                    if let ArgRef::Const(c) = r {
+                        f(*c);
+                    }
+                }
+            }
+            Cond::And(cs) | Cond::Or(cs) => cs.iter().for_each(|c| c.for_each_const(f)),
+            Cond::Not(c) => c.for_each_const(f),
+        }
+    }
+
     /// Evaluate concretely against two operations' argument vectors.
     pub fn eval(&self, left: &[Value], right: &[Value]) -> bool {
         fn resolve(r: ArgRef, l: &[Value], rr: &[Value]) -> Value {
@@ -188,6 +204,15 @@ impl CommutSpec {
     /// with an `m2` operation (right side).
     pub fn cond(&self, m1: MethodIdx, m2: MethodIdx) -> &Cond {
         &self.table[m1][m2]
+    }
+
+    /// Call `f` on every constant any condition of the specification
+    /// mentions.
+    pub(crate) fn for_each_const(&self, mut f: impl FnMut(Value)) {
+        self.table
+            .iter()
+            .flatten()
+            .for_each(|c| c.for_each_const(&mut f));
     }
 
     /// Do two concrete operations commute according to this specification?

@@ -9,6 +9,7 @@
 
 use crate::acquire::AcquireSpec;
 use crate::error::LockError;
+use crate::inline_vec::InlineVec;
 use crate::manager::SemLock;
 use crate::mode::ModeId;
 use crate::telemetry;
@@ -39,7 +40,7 @@ thread_local! {
 /// Allocate a fresh transaction id: unique process-wide, increasing on the
 /// calling thread.
 ///
-/// [`Txn::new`] draws from the same allocator; external executors that
+/// A [`Txn`] draws its id from here at first use; external executors that
 /// manage their own transaction state (e.g. the IR interpreter) must use
 /// this too, so ids registered with the [`crate::watchdog`] never collide.
 pub fn next_txn_id() -> TxnId {
@@ -56,33 +57,74 @@ pub fn next_txn_id() -> TxnId {
     })
 }
 
+/// Entries a transaction's `LOCAL_SET` holds inline before it spills to
+/// the heap. Paper sections lock one to three instances.
+const INLINE_HELD: usize = 4;
+
+/// One `LOCAL_SET` entry: the instance, the mode held on it, and the
+/// telemetry site id stamped at acquisition ([`telemetry::SITE_NONE`] when
+/// telemetry was off or no site was pending). The instance is `None` only
+/// in the unused inline slots.
+type Held<'a> = (Option<&'a SemLock>, ModeId, u32);
+
+/// What the unused inline slots of a `LOCAL_SET` hold.
+const NO_HOLD: Held<'static> = (None, ModeId(u32::MAX), telemetry::SITE_NONE);
+
+/// The id a [`Txn`] carries until its first use draws a real one: no
+/// allocator hands out 0.
+const NO_ID: TxnId = 0;
+
+/// The id in `cell`, drawn from [`next_txn_id`] on first use.
+#[inline]
+fn id_in(cell: &Cell<TxnId>) -> TxnId {
+    match cell.get() {
+        NO_ID => draw_id(cell),
+        id => id,
+    }
+}
+
+#[cold]
+fn draw_id(cell: &Cell<TxnId>) -> TxnId {
+    let id = next_txn_id();
+    cell.set(id);
+    id
+}
+
 /// The runtime context of one transaction (execution of an atomic section).
+///
+/// Beginning a transaction allocates nothing and draws no id: the
+/// `LOCAL_SET` keeps four instances inline, and the id is drawn
+/// on first use — by [`Txn::id`], by telemetry, or by a bounded
+/// acquisition — so the transactions that never need one never pay for
+/// it. The prologue, [`Txn::acquire`] and the epilogue are `#[inline]`:
+/// inlined into the section, a fresh `Txn` lives in registers, and the
+/// skip scan of an empty set and the unused inline slots cost nothing.
 ///
 /// Dropping a `Txn` releases every lock it still holds, so a panicking
 /// atomic section cannot leak locks.
 pub struct Txn<'a> {
-    /// `LOCAL_SET`: instances currently locked, with the mode held and the
-    /// telemetry site id stamped at acquisition ([`telemetry::SITE_NONE`]
-    /// when telemetry was off or no site was pending). Transactions touch
-    /// a handful of ADTs, so a linear-scan vector beats any hash structure
-    /// here.
-    held: Vec<(&'a SemLock, ModeId, u32)>,
-    /// Unique transaction id (used by the deadlock watchdog).
-    id: TxnId,
+    /// `LOCAL_SET`: instances currently locked, in acquisition order.
+    /// Transactions touch a handful of ADTs, so a linear scan beats any
+    /// hash structure here.
+    held: InlineVec<Held<'a>, INLINE_HELD>,
+    /// Unique transaction id (used by the deadlock watchdog and
+    /// telemetry), [`NO_ID`] until first use.
+    id: Cell<TxnId>,
 }
 
 impl<'a> Txn<'a> {
     /// Prologue: begin a transaction with an empty `LOCAL_SET`.
+    #[inline]
     pub fn new() -> Txn<'a> {
         Txn {
-            held: Vec::new(),
-            id: next_txn_id(),
+            held: InlineVec::new(NO_HOLD),
+            id: Cell::new(NO_ID),
         }
     }
 
-    /// This transaction's unique id.
+    /// This transaction's unique id, drawn on the first call.
     pub fn id(&self) -> TxnId {
-        self.id
+        id_in(&self.id)
     }
 
     /// The unified acquisition entry point: lock `adt` as described by
@@ -107,18 +149,21 @@ impl<'a> Txn<'a> {
     /// the deadlock watchdog while parked (unless
     /// [`AcquireSpec::no_watchdog`]), carrying this transaction's id and
     /// current holds into the waits-for graph.
+    #[inline]
     pub fn acquire(&mut self, adt: &'a SemLock, spec: &AcquireSpec) -> Result<(), LockError> {
         if self.holds(adt) {
             return Ok(());
         }
         let site = self.tele_enter();
-        let held = &self.held;
+        let (held, id) = (&self.held, &self.id);
         // The watchdog's waits-for edges, built only if the acquisition
         // waits long enough to register.
-        adt.acquire_for(spec, self.id, &|| {
-            held.iter().map(|&(l, m, _)| (l.unique(), m)).collect()
+        adt.acquire_with(spec, || id_in(id), &|| {
+            held.iter()
+                .filter_map(|&(l, m, _)| Some((l?.unique(), m)))
+                .collect()
         })?;
-        self.held.push((adt, spec.mode, site));
+        self.held.push((Some(adt), spec.mode, site));
         Ok(())
     }
 
@@ -140,7 +185,7 @@ impl<'a> Txn<'a> {
     #[inline]
     fn tele_enter(&self) -> u32 {
         if telemetry::enabled() {
-            telemetry::set_txn(self.id);
+            telemetry::set_txn(self.id());
             telemetry::context().1
         } else {
             telemetry::SITE_NONE
@@ -153,7 +198,7 @@ impl<'a> Txn<'a> {
     #[inline]
     fn tele_release(&self, site: u32) {
         if telemetry::enabled() {
-            telemetry::set_context(self.id, site);
+            telemetry::set_context(self.id(), site);
         }
     }
 
@@ -212,17 +257,23 @@ impl<'a> Txn<'a> {
         }
     }
 
+    /// Position of `adt` in the `LOCAL_SET`, if held.
+    #[inline]
+    fn position(&self, adt: &SemLock) -> Option<usize> {
+        self.held
+            .iter()
+            .position(|&(l, _, _)| l.is_some_and(|l| l.unique() == adt.unique()))
+    }
+
     /// Does this transaction currently hold a lock on `adt`?
+    #[inline]
     pub fn holds(&self, adt: &SemLock) -> bool {
-        self.held.iter().any(|(l, _, _)| l.unique() == adt.unique())
+        self.position(adt).is_some()
     }
 
     /// The mode held on `adt`, if any.
     pub fn held_mode(&self, adt: &SemLock) -> Option<ModeId> {
-        self.held
-            .iter()
-            .find(|(l, _, _)| l.unique() == adt.unique())
-            .map(|&(_, m, _)| m)
+        self.position(adt).map(|i| self.held[i].1)
     }
 
     /// Number of instances currently locked.
@@ -233,26 +284,24 @@ impl<'a> Txn<'a> {
     /// Early lock release (Appendix A): the `x.unlockAll()` moved before
     /// the end of the section. No-op if the instance is not held.
     pub fn release(&mut self, adt: &SemLock) {
-        if let Some(pos) = self
-            .held
-            .iter()
-            .position(|(l, _, _)| l.unique() == adt.unique())
-        {
+        if let Some(pos) = self.position(adt) {
             let (l, m, site) = self.held.swap_remove(pos);
             self.tele_release(site);
-            l.unlock(m);
+            adt_of(l).unlock(m);
         }
     }
 
-    /// Epilogue: `foreach(t : LOCAL_SET) t.unlockAll()`.
+    /// Epilogue: `foreach(t : LOCAL_SET) t.unlockAll()`, in acquisition
+    /// order.
+    #[inline]
     pub fn unlock_all(&mut self) {
-        let id = self.id;
-        for (l, m, site) in self.held.drain(..) {
+        let id = &self.id;
+        self.held.drain_each(|(l, m, site)| {
             if telemetry::enabled() {
-                telemetry::set_context(id, site);
+                telemetry::set_context(id_in(id), site);
             }
-            l.unlock(m);
-        }
+            adt_of(l).unlock(m);
+        });
     }
 
     /// Mark that an ADT operation on `adt` is in flight. If the returned
@@ -280,6 +329,13 @@ impl<'a> Txn<'a> {
     }
 }
 
+/// The instance of a pushed `LOCAL_SET` entry (only unused inline slots
+/// are empty).
+#[inline]
+fn adt_of(l: Option<&SemLock>) -> &SemLock {
+    l.expect("LOCAL_SET entry without an instance")
+}
+
 /// Marker that an ADT operation is executing (see [`Txn::in_op`]). Poisons
 /// the instance if dropped during a panic unwind.
 pub struct OpGuard<'a> {
@@ -301,6 +357,7 @@ impl Default for Txn<'_> {
 }
 
 impl Drop for Txn<'_> {
+    #[inline]
     fn drop(&mut self) {
         self.unlock_all();
     }
@@ -485,6 +542,17 @@ mod tests {
         let distinct: std::collections::HashSet<TxnId> =
             per_thread.iter().flatten().copied().collect();
         assert_eq!(distinct.len(), THREADS * PER_THREAD);
+    }
+
+    #[test]
+    fn ids_are_drawn_at_first_use() {
+        // Beginning a transaction draws nothing, so one begun later but
+        // asked first gets the smaller id.
+        let first = Txn::new();
+        let second = Txn::new();
+        let drawn = second.id();
+        assert!(drawn < first.id());
+        assert_eq!(second.id(), drawn, "drawn once");
     }
 
     #[test]

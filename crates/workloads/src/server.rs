@@ -6,10 +6,11 @@
 //! per-key-class modes — serves a mixed transaction load through
 //! [`interp::Interp::run_with_retry`]:
 //!
-//! * **transfer** — a two-shard read-modify-write (the classic hot path
-//!   for cross-instance deadlocks; acquisition order is the request's
-//!   natural order, so opposing transfers genuinely cycle and the
-//!   watchdog + retry layer must resolve them);
+//! * **transfer** — a two-shard read-modify-write. `src` and `dst` are one
+//!   class, so the synthesized section locks both through one `LV2` group
+//!   ordered by instance id (Fig. 12): opposing transfers take the shards
+//!   in the same order and queue rather than cycle, so what the retry
+//!   layer resolves here is timeouts, not deadlocks;
 //! * **balance** — a read-mostly single-key `get`;
 //! * **scan+mutate** — `size()` (a whole-container mode that conflicts
 //!   with every mutation) followed by a keyed `put`.
@@ -227,8 +228,9 @@ impl Zipf {
 }
 
 /// The two-shard transfer: read-modify-write on one account in each of
-/// two instances. Opposing transfers acquire in opposite orders, so this
-/// is the section that manufactures genuine cross-instance deadlocks.
+/// two instances. The synthesized section opens with `LV2(dst, src)`,
+/// which locks the two instances in instance-id order (Fig. 12), so
+/// opposing transfers cannot deadlock on each other.
 pub fn transfer_section() -> AtomicSection {
     AtomicSection::new(
         "transfer",
@@ -465,9 +467,9 @@ fn serve(sh: &Shared<'_>, tid: u64) -> Vec<u64> {
         let (s1, l1) = (k1 % cfg.shards as u64, k1 / cfg.shards as u64);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if kind < cfg.transfer_pct {
-                // Force distinct shards so `src`/`dst` never alias; the
-                // acquisition order stays the request's own, so opposing
-                // transfers still deadlock and must retry their way out.
+                // Force distinct shards so `src`/`dst` never alias. The
+                // section's `LV2` group takes them in instance-id order,
+                // whichever of the two the request names first.
                 let mut k2 = sh.zipf.sample(&mut rng);
                 if k2 % cfg.shards as u64 == s1 {
                     k2 = (k2 + 1) % cfg.keys;
@@ -548,6 +550,36 @@ fn recover_poison(sh: &Shared<'_>, instance: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transfer_locks_both_shards_through_one_ordered_group() {
+        use synth::ir::Stmt;
+        let out = Synthesizer::new(registry()).phi(Phi::fib(64)).synthesize(&[
+            transfer_section(),
+            balance_section(),
+            scan_mutate_section(),
+        ]);
+        let transfer = out
+            .sections
+            .iter()
+            .find(|s| s.name == "transfer")
+            .expect("transfer is synthesized");
+        let (mut groups, mut singles) = (Vec::new(), Vec::new());
+        transfer.for_each_stmt(|st| match st {
+            Stmt::LvGroup { entries, .. } => {
+                let mut vars: Vec<&str> = entries.iter().map(|(v, _)| v.as_str()).collect();
+                vars.sort_unstable();
+                groups.push(vars.join(","));
+            }
+            Stmt::Lv { recv, .. } | Stmt::LockDirect { recv, .. } => singles.push(recv.clone()),
+            _ => {}
+        });
+        assert_eq!(groups, ["dst,src"], "transfer:\n{transfer}");
+        assert!(
+            singles.is_empty(),
+            "transfer locks {singles:?} alone:\n{transfer}"
+        );
+    }
 
     #[test]
     fn zipf_sampler_is_deterministic_and_skewed() {
